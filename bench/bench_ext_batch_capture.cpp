@@ -11,8 +11,11 @@
 // cold bit-identity plus the algorithmic speedup from simulating the
 // plaintext-independent prefix once per batch.  Exit status reflects the
 // bit-identity checks and the cycle-count speedup gate (> 1.3x) — never
-// wall clock, which depends on the host's core count (a 4-core machine
-// typically shows >= 3x on the thread-pool table).
+// wall clock, which depends on the host's core count and load.  The
+// thread-pool table's 256 x 6000-cycle batch is large enough to show
+// thread scaling: five runs on a 4-core VM shared with other tenants
+// measured 1.0-3.6x at 4 threads, median 2.7x (the 24-trace batch it
+// replaced measured 0.9-1.0x).
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -27,7 +30,11 @@ using namespace emask;
 
 namespace {
 
-constexpr std::size_t kTraces = 24;
+// The thread-pool table needs enough work per batch that thread start-up
+// and the reorder window do not hide the scaling; the kernel-backend series
+// keeps its original 24-trace batch (its JSON is byte-diffed across runs).
+constexpr std::size_t kPoolTraces = 256;
+constexpr std::size_t kKernelTraces = 24;
 constexpr std::uint64_t kWindowEnd = 6000;  // round-1 window prefix
 constexpr std::uint64_t kSeed = 0xBA7C4;
 constexpr std::size_t kForkTraces = 12;  // full traces for the fork series
@@ -50,20 +57,20 @@ int main() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("host reports %u hardware thread(s); batch = %zu traces x %llu "
               "cycles\n\n",
-              hw, kTraces, static_cast<unsigned long long>(kWindowEnd));
+              hw, kPoolTraces, static_cast<unsigned long long>(kWindowEnd));
 
   // Reference: the plain serial loop every bench used before BatchRunner.
   analysis::TraceSet reference;
   util::Rng rng(kSeed);
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kTraces; ++i) {
+  for (std::size_t i = 0; i < kPoolTraces; ++i) {
     const std::uint64_t pt = rng.next_u64();
     reference.add(pt, device.run_des(bench::kKey, pt, kWindowEnd).trace);
   }
   const double serial_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const double serial_eps = static_cast<double>(kTraces) / serial_s;
+  const double serial_eps = static_cast<double>(kPoolTraces) / serial_s;
   std::printf("%8s %12s %12s %10s %9s\n", "threads", "wall s", "enc/s",
               "speedup", "bitwise?");
   std::printf("%8s %12.3f %12.1f %10s %9s\n", "loop", serial_s, serial_eps,
@@ -82,7 +89,7 @@ int main() {
     bc.stop_after_cycles = kWindowEnd;
     core::BatchRunner runner(device, bc);
     const analysis::TraceSet set =
-        runner.capture(kTraces, core::random_plaintexts(bench::kKey, kSeed));
+        runner.capture(kPoolTraces, core::random_plaintexts(bench::kKey, kSeed));
     const core::BatchStats& stats = runner.stats();
     const bool same = identical(set, reference);
     all_identical &= same;
@@ -212,7 +219,7 @@ int main() {
     bc.stop_after_cycles = kWindowEnd;
     core::BatchRunner runner(coupled, bc);
     kernel_sets[i] =
-        runner.capture(kTraces, core::random_plaintexts(bench::kKey, kSeed));
+        runner.capture(kKernelTraces, core::random_plaintexts(bench::kKey, kSeed));
     kernel_wall[i] = runner.stats().wall_seconds;
   }
   energy::set_hamming_backend(saved_backend);
@@ -225,9 +232,9 @@ int main() {
     bench::SeriesWriter series("ext_kernel_backend");
     series.write_header({"backend_bitslice", "traces", "window_cycles",
                          "coupling_enabled", "bitwise_vs_scalar"});
-    series.write_row({0.0, static_cast<double>(kTraces),
+    series.write_row({0.0, static_cast<double>(kKernelTraces),
                       static_cast<double>(kWindowEnd), 1.0, 1.0});
-    series.write_row({1.0, static_cast<double>(kTraces),
+    series.write_row({1.0, static_cast<double>(kKernelTraces),
                       static_cast<double>(kWindowEnd), 1.0,
                       kernel_identical ? 1.0 : 0.0});
     series.flush();

@@ -17,6 +17,7 @@ class Trace {
   explicit Trace(std::vector<double> samples) : samples_(std::move(samples)) {}
 
   void push(double pj) { samples_.push_back(pj); }
+  void reserve(std::size_t n) { samples_.reserve(n); }
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] double operator[](std::size_t i) const { return samples_[i]; }

@@ -1,5 +1,7 @@
 #include "core/masking_pipeline.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -70,12 +72,30 @@ energy::HidingConfig MaskingPipeline::hiding_config(
   return cfg;
 }
 
-EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
-                                        std::uint64_t stop_after_cycles,
-                                        std::uint64_t run_seed) const {
+MaskingPipeline::MaskingPipeline(compiler::MaskResult masked,
+                                 hiding::Countermeasure policy,
+                                 const energy::TechParams& params)
+    : masked_(std::move(masked)),
+      policy_(policy),
+      params_(params),
+      text_(std::make_shared<const sim::DecodedText>(
+          sim::decode_text(masked_.program))) {}
+
+namespace {
+
+// Windowed runs reserve their trace up front, up to this many samples
+// (2 MiB; a full DES encryption is ~138k cycles).  A caller's window far
+// past the program's end must not become a giant allocation.
+constexpr std::uint64_t kMaxTraceReserve = std::uint64_t{1} << 18;
+
+// Steps `pipeline` to halt (stop_after_cycles == 0) or for at most
+// `stop_after_cycles` cycles, appending one energy sample per cycle to
+// `trace` — empty for a cold start, the shared prefix for a fork.
+EncryptionRun drive(sim::Pipeline& pipeline, energy::ProcessorEnergyModel& model,
+                    const assembler::Program& program, analysis::Trace trace,
+                    std::uint64_t stop_after_cycles) {
   EncryptionRun run;
-  sim::Pipeline pipeline(program, sim_config_);
-  energy::ProcessorEnergyModel model(params_, hiding_config(run_seed));
+  run.trace = std::move(trace);
   if (stop_after_cycles == 0) {
     run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
       run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
@@ -88,6 +108,7 @@ EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
       run.cipher = des::read_cipher(pipeline.memory(), program);
     }
   } else {
+    run.trace.reserve(std::min(stop_after_cycles, kMaxTraceReserve));
     energy::CycleActivity activity;
     while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
       run.trace.push(model.cycle(activity) * 1e12);
@@ -98,19 +119,40 @@ EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
   return run;
 }
 
+}  // namespace
+
+EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
+                                        std::uint64_t stop_after_cycles) const {
+  sim::Pipeline pipeline(program, sim_config_, text_.get());
+  energy::ProcessorEnergyModel model(params_, hiding_config(0));
+  return drive(pipeline, model, program, {}, stop_after_cycles);
+}
+
+void MaskingPipeline::poke_inputs(sim::DataMemory& memory,
+                                  const std::uint64_t* iv,
+                                  std::uint64_t plaintext) const {
+  des::poke_plaintext(memory, masked_.program, plaintext);
+  if (iv != nullptr) des::poke_iv(memory, masked_.program, *iv);
+  if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
+    // The nop_tab slots are first read after the fork marker, so a forked
+    // run draws the same per-plaintext schedule a cold run does.
+    des::poke_nop_schedule(memory, masked_.program,
+                           shuffle_schedule(run_hiding_seed(plaintext)));
+  }
+}
+
 EncryptionRun MaskingPipeline::cold_des(const std::uint64_t* iv,
                                         std::uint64_t key,
                                         std::uint64_t plaintext,
                                         std::uint64_t stop_after_cycles) const {
-  assembler::Program program = masked_.program;  // copy, then poke inputs
-  des::poke_key(program, key);
-  des::poke_plaintext(program, plaintext);
-  if (iv != nullptr) des::poke_iv(program, *iv);
-  const std::uint64_t run_seed = run_hiding_seed(plaintext);
-  if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
-    des::poke_nop_schedule(program, shuffle_schedule(run_seed));
-  }
-  return simulate(program, stop_after_cycles, run_seed);
+  // Inputs go straight into the run's memory before the first clock —
+  // equivalent to poking a copy of the program image, without the copy.
+  sim::Pipeline pipeline(masked_.program, sim_config_, text_.get());
+  des::poke_key(pipeline.memory(), masked_.program, key);
+  poke_inputs(pipeline.memory(), iv, plaintext);
+  energy::ProcessorEnergyModel model(
+      params_, hiding_config(run_hiding_seed(plaintext)));
+  return drive(pipeline, model, masked_.program, {}, stop_after_cycles);
 }
 
 EncryptionRun MaskingPipeline::run_des(std::uint64_t key,
@@ -137,13 +179,12 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
         " draws per-trace randomness from cycle 0, so a shared prefix would "
         "pin every forked trace to the same stream — run cold instead");
   }
-  assembler::Program program = masked_.program;  // copy, then poke the key
-  des::poke_key(program, key);
+  sim::Pipeline pipeline(masked_.program, sim_config_, text_.get());
+  des::poke_key(pipeline.memory(), masked_.program, key);
   // The plaintext placeholder stays zero: the prefix must be
   // plaintext-independent, and by construction the marker precedes the
   // first `plain` load.
-  const std::uint32_t fork_pc = *program.fork_point;
-  sim::Pipeline pipeline(program, sim_config_);
+  const std::uint32_t fork_pc = *masked_.program.fork_point;
   // The prefix is plaintext-independent, so it cannot consume any of the
   // per-run hiding stream; wddl's constant mode is stateless and safe.
   energy::ProcessorEnergyModel model(params_, hiding_config(0));
@@ -165,12 +206,9 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
     throw std::runtime_error(
         "snapshot_des: program halted before the fork marker retired");
   }
-  // Capture before moving `program` out: Pipeline::snapshot() reads the
-  // program it references, and braced-init evaluates left to right.
-  sim::Snapshot machine = pipeline.snapshot();
   const std::uint64_t fork_cycle = pipeline.cycles();
-  return DesSnapshot{std::move(program), std::move(machine), std::move(model),
-                     std::move(prefix), key, fork_cycle};
+  return DesSnapshot{pipeline.snapshot(), std::move(model), std::move(prefix),
+                     key, fork_cycle};
 }
 
 EncryptionRun MaskingPipeline::run_des_from(
@@ -198,36 +236,17 @@ EncryptionRun MaskingPipeline::forked_des(
     throw std::invalid_argument(
         "run_des_from: snapshot was captured from a different program");
   }
-  EncryptionRun run;
-  sim::Pipeline pipeline(snapshot.program, snapshot.machine);
-  des::poke_plaintext(pipeline.memory(), snapshot.program, plaintext);
-  if (iv != nullptr) des::poke_iv(pipeline.memory(), snapshot.program, *iv);
-  if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
-    // The nop_tab slots are first read after the fork marker, so a forked
-    // run can draw the same per-plaintext schedule a cold run would.
-    des::poke_nop_schedule(pipeline.memory(), snapshot.program,
-                           shuffle_schedule(run_hiding_seed(plaintext)));
-  }
+  sim::Pipeline pipeline(masked_.program, snapshot.machine, text_.get());
+  poke_inputs(pipeline.memory(), iv, plaintext);
   energy::ProcessorEnergyModel model = snapshot.model;  // resume mid-trace
-  run.trace = snapshot.prefix;  // splice the shared prefix in front
-  if (stop_after_cycles == 0) {
-    run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
-      run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
-    });
-    const assembler::DataSymbol* cipher =
-        snapshot.program.find_symbol("cipher");
-    if (cipher != nullptr && cipher->size_bytes >= 64 * 4) {
-      run.cipher = des::read_cipher(pipeline.memory(), snapshot.program);
-    }
-  } else {
-    energy::CycleActivity activity;
-    while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
-      run.trace.push(model.cycle(activity) * 1e12);
-    }
-    run.sim = pipeline.result();
-  }
-  run.breakdown = model.breakdown();
-  return run;
+  // Splice the shared prefix in front, with room for the whole window.
+  std::vector<double> samples;
+  samples.reserve(std::max<std::uint64_t>(
+      std::min(stop_after_cycles, kMaxTraceReserve), snapshot.prefix.size()));
+  samples.insert(samples.end(), snapshot.prefix.samples().begin(),
+                 snapshot.prefix.samples().end());
+  return drive(pipeline, model, masked_.program,
+               analysis::Trace(std::move(samples)), stop_after_cycles);
 }
 
 EncryptionRun MaskingPipeline::run_raw() const { return simulate(masked_.program); }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,16 +36,16 @@ struct EncryptionRun {
 };
 
 /// The machine captured at the program's `fork` marker, plus everything a
-/// forked run needs to resume: the key-poked program copy the simulator
-/// references, the energy-model state mid-trace, and the shared prefix
-/// trace spliced in front of every forked trace.  Capture once per (key,
-/// program) with MaskingPipeline::snapshot_des, then fork any number of
-/// per-plaintext runs with run_des_from — each is bit-identical to the
-/// corresponding cold run_des call.  Immutable after capture; safe to share
-/// read-only across threads (memory forks copy-on-write at page
-/// granularity).
+/// forked run needs to resume: the machine (its memory holds the poked
+/// key), the energy-model state mid-trace, and the shared prefix trace
+/// spliced in front of every forked trace.  Capture once per (key, device)
+/// with MaskingPipeline::snapshot_des, then fork any number of
+/// per-plaintext runs with run_des_from on the same device — each is
+/// bit-identical to the corresponding cold run_des call, and runs on the
+/// device's program text and pre-decoded table.  Immutable after capture;
+/// safe to share read-only across threads (memory forks copy-on-write at
+/// page granularity).
 struct DesSnapshot {
-  assembler::Program program;  // key poked; referenced by restored machines
   sim::Snapshot machine;
   energy::ProcessorEnergyModel model;  // state as of fork_cycle
   analysis::Trace prefix;              // samples for cycles [0, fork_cycle)
@@ -70,8 +71,9 @@ class MaskingPipeline {
       const std::string& source, const hiding::Countermeasure& policy,
       const energy::TechParams& params = energy::TechParams::smartcard_025um());
 
-  /// Simulates one DES encryption: pokes `key`/`plaintext` into the data
-  /// image, runs to halt, returns the trace and the ciphertext.
+  /// Simulates one DES encryption: pokes `key`/`plaintext` into the run's
+  /// data memory (never into a copy of the program), runs to halt, returns
+  /// the trace and the ciphertext.
   ///
   /// `stop_after_cycles` truncates the simulation (0 = run to halt): an
   /// attacker capturing only the first round does not need to pay for the
@@ -136,7 +138,9 @@ class MaskingPipeline {
 
   /// Simulates an externally patched copy of the compiled program (e.g.
   /// after poking a new SHA-1 message block into its data image).  The
-  /// image must come from this pipeline's program().
+  /// image must come from this pipeline's program(): it runs on the
+  /// device's pre-decoded text (a text of another size throws
+  /// std::invalid_argument).
   [[nodiscard]] EncryptionRun run_image(const assembler::Program& image,
                                         std::uint64_t stop_after_cycles = 0) const;
 
@@ -178,15 +182,19 @@ class MaskingPipeline {
 
  private:
   MaskingPipeline(compiler::MaskResult masked, hiding::Countermeasure policy,
-                  const energy::TechParams& params)
-      : masked_(std::move(masked)), policy_(policy), params_(params) {}
+                  const energy::TechParams& params);
 
   [[nodiscard]] energy::HidingConfig hiding_config(
       std::uint64_t run_seed) const;
 
   [[nodiscard]] EncryptionRun simulate(const assembler::Program& program,
-                                       std::uint64_t stop_after_cycles = 0,
-                                       std::uint64_t run_seed = 0) const;
+                                       std::uint64_t stop_after_cycles = 0) const;
+
+  /// Pokes the per-run DES inputs other than the key — plaintext, iv (when
+  /// non-null), the shuffle_nop schedule — into a run's memory.  Shared by
+  /// cold starts and forks.
+  void poke_inputs(sim::DataMemory& memory, const std::uint64_t* iv,
+                   std::uint64_t plaintext) const;
 
   [[nodiscard]] EncryptionRun cold_des(const std::uint64_t* iv,
                                        std::uint64_t key,
@@ -200,6 +208,9 @@ class MaskingPipeline {
   compiler::MaskResult masked_;
   hiding::Countermeasure policy_;
   energy::TechParams params_;
+  // masked_.program's text decoded once per device; copies of the device
+  // (one per BatchRunner worker) share it read-only.
+  std::shared_ptr<const sim::DecodedText> text_;
   sim::SimConfig sim_config_;
   std::uint64_t hiding_seed_ = 0x9E3779B97F4A7C15ull;
 };

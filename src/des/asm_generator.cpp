@@ -34,18 +34,37 @@ void emit_bit_words(std::ostringstream& os, const char* label,
   }
 }
 
-void poke_block(assembler::Program& program, const char* symbol,
-                std::uint64_t block) {
+// Writes one word of a block either into an assembled program's initial
+// data image or into a live simulator memory — the two places inputs are
+// poked (before a run, or into a fork's copy-on-write memory).
+void put_word(assembler::Program& image, std::uint32_t address,
+              std::uint32_t value) {
+  image.poke_word(address, value);
+}
+void put_word(sim::DataMemory& memory, std::uint32_t address,
+              std::uint32_t value) {
+  memory.store_word(address, value);
+}
+
+/// Writes `block` MSB first as the 64 bit-words of `symbol`; throws
+/// std::invalid_argument(`missing`) when the program has no such symbol.
+template <typename Image>
+void poke_block(Image& image, const assembler::Program& program,
+                const char* symbol, std::uint64_t block, const char* missing) {
   const assembler::DataSymbol* s = program.find_symbol(symbol);
   if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(std::string("poke_block: no symbol ") +
-                                symbol);
+    throw std::invalid_argument(missing);
   }
   for (unsigned i = 0; i < 64; ++i) {
-    program.poke_word(s->address + i * 4,
-                      static_cast<std::uint32_t>(util::bit_of64(block, 63 - i)));
+    put_word(image, s->address + i * 4,
+             static_cast<std::uint32_t>(util::bit_of64(block, 63 - i)));
   }
 }
+
+constexpr const char* kNoKey = "poke_key: no key symbol";
+constexpr const char* kNoPlain = "poke_plaintext: no plain symbol";
+constexpr const char* kNoIv =
+    "poke_iv: program has no iv symbol (generate with cbc_chain)";
 
 // The program text reproduces the *shape* of the paper's compiled code
 // (Fig. 4): unoptimized output with memory-resident locals.  Every loop
@@ -594,46 +613,30 @@ std::string generate_des_asm(std::uint64_t key, std::uint64_t plaintext,
 }
 
 void poke_key(assembler::Program& program, std::uint64_t key) {
-  poke_block(program, "key", key);
+  poke_block(program, program, "key", key, kNoKey);
+}
+
+void poke_key(sim::DataMemory& memory, const assembler::Program& program,
+              std::uint64_t key) {
+  poke_block(memory, program, "key", key, kNoKey);
 }
 
 void poke_plaintext(assembler::Program& program, std::uint64_t plaintext) {
-  poke_block(program, "plain", plaintext);
+  poke_block(program, program, "plain", plaintext, kNoPlain);
 }
 
 void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
                     std::uint64_t plaintext) {
-  const assembler::DataSymbol* s = program.find_symbol("plain");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument("poke_plaintext: no plain symbol");
-  }
-  for (unsigned i = 0; i < 64; ++i) {
-    memory.store_word(s->address + i * 4,
-                      static_cast<std::uint32_t>(
-                          util::bit_of64(plaintext, 63 - i)));
-  }
+  poke_block(memory, program, "plain", plaintext, kNoPlain);
 }
 
 void poke_iv(assembler::Program& program, std::uint64_t iv) {
-  const assembler::DataSymbol* s = program.find_symbol("iv");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(
-        "poke_iv: program has no iv symbol (generate with cbc_chain)");
-  }
-  poke_block(program, "iv", iv);
+  poke_block(program, program, "iv", iv, kNoIv);
 }
 
 void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
              std::uint64_t iv) {
-  const assembler::DataSymbol* s = program.find_symbol("iv");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(
-        "poke_iv: program has no iv symbol (generate with cbc_chain)");
-  }
-  for (unsigned i = 0; i < 64; ++i) {
-    memory.store_word(s->address + i * 4,
-                      static_cast<std::uint32_t>(util::bit_of64(iv, 63 - i)));
-  }
+  poke_block(memory, program, "iv", iv, kNoIv);
 }
 
 bool has_iv_symbol(const assembler::Program& program) {
@@ -659,25 +662,26 @@ const assembler::DataSymbol* nop_table_symbol(
   return s;
 }
 
+template <typename Image>
+void poke_delays(Image& image, const assembler::Program& program,
+                 const std::vector<std::uint32_t>& delays) {
+  const assembler::DataSymbol* s = nop_table_symbol(program, delays);
+  for (std::size_t i = 0; i < kShuffleSlotCount; ++i) {
+    put_word(image, s->address + static_cast<std::uint32_t>(i) * 4, delays[i]);
+  }
+}
+
 }  // namespace
 
 void poke_nop_schedule(assembler::Program& program,
                        const std::vector<std::uint32_t>& delays) {
-  const assembler::DataSymbol* s = nop_table_symbol(program, delays);
-  for (std::size_t i = 0; i < kShuffleSlotCount; ++i) {
-    program.poke_word(s->address + static_cast<std::uint32_t>(i) * 4,
-                      delays[i]);
-  }
+  poke_delays(program, program, delays);
 }
 
 void poke_nop_schedule(sim::DataMemory& memory,
                        const assembler::Program& program,
                        const std::vector<std::uint32_t>& delays) {
-  const assembler::DataSymbol* s = nop_table_symbol(program, delays);
-  for (std::size_t i = 0; i < kShuffleSlotCount; ++i) {
-    memory.store_word(s->address + static_cast<std::uint32_t>(i) * 4,
-                      delays[i]);
-  }
+  poke_delays(memory, program, delays);
 }
 
 bool has_nop_table(const assembler::Program& program) {

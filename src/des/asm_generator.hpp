@@ -77,9 +77,12 @@ struct DesAsmOptions {
 void poke_key(assembler::Program& program, std::uint64_t key);
 void poke_plaintext(assembler::Program& program, std::uint64_t plaintext);
 
-/// Pokes the plaintext directly into a live simulator memory (used by the
-/// snapshot/fork path, where the machine is already past initialization and
-/// the program image can no longer seed it).
+/// Pokes directly into a live simulator memory built from `program`'s image:
+/// a cold run pokes its inputs before the first step instead of copying the
+/// program, and the snapshot/fork path pokes after the fork point, where
+/// the program image can no longer seed the machine.
+void poke_key(sim::DataMemory& memory, const assembler::Program& program,
+              std::uint64_t key);
 void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
                     std::uint64_t plaintext);
 

@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -21,14 +22,23 @@ DataMemory::DataMemory(const assembler::Program& program,
   if (program.data.size() > size_bytes) {
     throw std::invalid_argument("DataMemory: image larger than memory");
   }
+  // Pages the image does not reach alias the shared zero page; only the
+  // image's own pages are allocated (value-initialized, then filled).
   const std::size_t num_pages = (size_bytes + kPageBytes - 1) / kPageBytes;
-  pages_.reserve(num_pages);
-  for (std::size_t i = 0; i < num_pages; ++i) {
-    pages_.push_back(std::make_shared<Page>());  // value-initialized: zeros
+  pages_.assign(num_pages, zero_page());
+  for (std::size_t off = 0; off < program.data.size(); off += kPageBytes) {
+    auto page = std::make_shared<Page>();
+    std::copy_n(program.data.begin() + static_cast<std::ptrdiff_t>(off),
+                std::min(kPageBytes, program.data.size() - off), page->begin());
+    pages_[off / kPageBytes] = std::move(page);
   }
-  for (std::size_t i = 0; i < program.data.size(); ++i) {
-    (*pages_[i / kPageBytes])[i % kPageBytes] = program.data[i];
-  }
+}
+
+const std::shared_ptr<DataMemory::Page>& DataMemory::zero_page() {
+  // Never written: this reference keeps use_count() > 1 for as long as the
+  // process runs, so writable_page() always clones it.
+  static const std::shared_ptr<Page> page = std::make_shared<Page>();
+  return page;
 }
 
 void DataMemory::check(std::uint32_t address) const {

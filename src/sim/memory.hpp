@@ -16,13 +16,15 @@ namespace emask::sim {
 /// throw (they indicate a broken program, not a modeled trap).
 ///
 /// Storage is paged and copy-on-write: copying a DataMemory shares its
-/// pages, and a store to a shared page clones just that page.  Forking N
-/// simulators from one sim::Snapshot therefore costs O(pages actually
-/// written) per fork, not O(memory size) — the 1 MiB default image is 256
-/// pages, of which a DES encryption dirties only a handful.  Page reference
-/// counts are atomic (std::shared_ptr), so concurrent forks from a shared
-/// read-only snapshot are safe; the bytes of a shared page are never
-/// mutated in place.
+/// pages, and a store to a shared page clones just that page.  A fresh
+/// memory allocates only the pages its data image covers (three for
+/// DES); every other page aliases one process-wide, immutable zero page
+/// until its first store.  So a cold start costs O(image), not O(memory
+/// size), and forking N simulators from one sim::Snapshot costs O(pages
+/// actually written) per fork.  Page reference counts are atomic
+/// (std::shared_ptr), so concurrent forks from a shared read-only snapshot
+/// and concurrent memories sharing the zero page are safe; the bytes of a
+/// shared page are never mutated in place.
 class DataMemory {
  public:
   explicit DataMemory(const assembler::Program& program,
@@ -48,6 +50,7 @@ class DataMemory {
   static_assert(kPageBytes % 4 == 0, "aligned words must not span pages");
   using Page = std::array<std::uint8_t, kPageBytes>;
 
+  [[nodiscard]] static const std::shared_ptr<Page>& zero_page();
   void check(std::uint32_t address) const;
   [[nodiscard]] Page& writable_page(std::size_t page_index);
 

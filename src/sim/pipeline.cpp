@@ -1,15 +1,14 @@
 #include "sim/pipeline.hpp"
 
 #include <stdexcept>
-
-#include "isa/encoding.hpp"
+#include <string>
 
 namespace emask::sim {
 namespace {
 
-using isa::Format;
-using isa::Instruction;
 using isa::Opcode;
+
+constexpr isa::Reg kNoReg = DecodedInst::kNoReg;
 
 /// Result of executing an instruction in EX.
 struct ExOutput {
@@ -18,7 +17,7 @@ struct ExOutput {
   std::uint32_t target = 0;  // next pc when control_taken
 };
 
-ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
+ExOutput execute(const DecodedInst& inst, std::uint32_t pc, std::uint32_t a,
                  std::uint32_t b) {
   ExOutput out;
   const auto sa = static_cast<std::int32_t>(a);
@@ -101,18 +100,33 @@ ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
 
 }  // namespace
 
-Pipeline::Pipeline(const assembler::Program& program, SimConfig config)
+void Pipeline::use_text(const DecodedText* decoded) {
+  if (program_.text.empty()) {
+    throw std::invalid_argument("Pipeline: empty program");
+  }
+  if (decoded == nullptr) {
+    own_text_ = decode_text(program_);
+    decoded = &own_text_;
+  } else if (decoded->size() != program_.text.size()) {
+    throw std::invalid_argument(
+        "Pipeline: decoded text has " + std::to_string(decoded->size()) +
+        " instructions, the program " + std::to_string(program_.text.size()));
+  }
+  text_ = decoded->data();
+}
+
+Pipeline::Pipeline(const assembler::Program& program, SimConfig config,
+                   const DecodedText* decoded)
     : program_(program),
       config_(config),
       dmem_(program, config.dmem_bytes),
       pc_(program.entry()) {
-  if (program_.text.empty()) {
-    throw std::invalid_argument("Pipeline: empty program");
-  }
+  use_text(decoded);
   if (config_.dcache) dcache_.emplace(*config_.dcache);
 }
 
-Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
+Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot,
+                   const DecodedText* decoded)
     : program_(program),
       config_(snapshot.config),
       dmem_(snapshot.memory),  // copy-on-write: pages stay shared until written
@@ -130,9 +144,7 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
       miss_stall_remaining_(snapshot.miss_stall_remaining),
       halted_(snapshot.halted),
       halt_seen_(snapshot.halt_seen) {
-  if (program_.text.empty()) {
-    throw std::invalid_argument("Pipeline: empty program");
-  }
+  use_text(decoded);
   if (snapshot.text_size != program_.text.size()) {
     throw std::invalid_argument(
         "Pipeline: snapshot was captured from a different program (text size " +
@@ -142,42 +154,39 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
 }
 
 Snapshot Pipeline::snapshot() const {
-  Snapshot s{config_, dmem_};
-  s.regs = regs_;
-  s.pc = pc_;
-  s.if_id = if_id_;
-  s.id_ex = id_ex_;
-  s.ex_mem = ex_mem_;
-  s.mem_wb = mem_wb_;
-  s.cycles = cycles_;
-  s.retired = retired_;
-  s.stalls = stalls_;
-  s.flushes = flushes_;
-  s.dcache = dcache_;
-  s.miss_stall_remaining = miss_stall_remaining_;
-  s.halted = halted_;
-  s.halt_seen = halt_seen_;
-  s.text_size = program_.text.size();
-  return s;
+  return Snapshot{.config = config_,
+                  .memory = dmem_,
+                  .regs = regs_,
+                  .pc = pc_,
+                  .if_id = if_id_,
+                  .id_ex = id_ex_,
+                  .ex_mem = ex_mem_,
+                  .mem_wb = mem_wb_,
+                  .cycles = cycles_,
+                  .retired = retired_,
+                  .stalls = stalls_,
+                  .flushes = flushes_,
+                  .dcache = dcache_,
+                  .miss_stall_remaining = miss_stall_remaining_,
+                  .halted = halted_,
+                  .halt_seen = halt_seen_,
+                  .text_size = program_.text.size()};
 }
 
 std::uint32_t Pipeline::forwarded(isa::Reg r, std::uint32_t id_value) const {
   if (r == isa::kZero) return 0;
   // Younger result wins: the instruction currently in MEM first.
   if (ex_mem_.valid) {
-    const auto d = ex_mem_.inst.dest();
-    if (d && *d == r) {
-      if (isa::info(ex_mem_.inst.op).is_load) {
+    const DecodedInst& d = text_[ex_mem_.pc];
+    if (d.dest == r) {
+      if (d.is_load) {
         // The interlock must have kept the consumer out of EX.
         throw std::logic_error("Pipeline: load-use forwarding violation");
       }
       return ex_mem_.alu;
     }
   }
-  if (mem_wb_.valid) {
-    const auto d = mem_wb_.inst.dest();
-    if (d && *d == r) return mem_wb_.value;
-  }
+  if (mem_wb_.valid && text_[mem_wb_.pc].dest == r) return mem_wb_.value;
   return id_value;
 }
 
@@ -201,38 +210,39 @@ bool Pipeline::step(energy::CycleActivity& activity) {
 
   // ---- WB (first half of the cycle: writes are visible to ID reads) ----
   if (mem_wb.valid) {
-    if (const auto d = mem_wb.inst.dest()) regs_[*d] = mem_wb.value;
+    const DecodedInst& inst = text_[mem_wb.pc];
+    if (inst.dest != kNoReg) regs_[inst.dest] = mem_wb.value;
     ++retired_;
-    activity.rf_write = mem_wb.inst.dest().has_value();
-    activity.wb_secure = mem_wb.inst.secure;
+    activity.rf_write = inst.dest != kNoReg;
+    activity.wb_secure = inst.secure;
     activity.retired = true;
     activity.retire_pc = mem_wb.pc;
-    if (mem_wb.inst.op == Opcode::kHalt) halted_ = true;
+    if (inst.halt) halted_ = true;
   }
 
   // ---- MEM ----
   MemWb next_mem_wb;
   if (ex_mem.valid) {
-    const isa::OpcodeInfo& oi = isa::info(ex_mem.inst.op);
+    const DecodedInst& inst = text_[ex_mem.pc];
     std::uint32_t value = ex_mem.alu;
-    if (oi.is_load) {
+    if (inst.is_load) {
       value = dmem_.load_word(ex_mem.alu);
       activity.mem.read = true;
-    } else if (oi.is_store) {
+    } else if (inst.is_store) {
       dmem_.store_word(ex_mem.alu, ex_mem.store_data);
       activity.mem.write = true;
     }
-    if (oi.is_load || oi.is_store) {
-      activity.mem.secure = ex_mem.inst.secure;
+    if (inst.is_load || inst.is_store) {
+      activity.mem.secure = inst.secure;
       activity.mem.address = ex_mem.alu;
-      activity.mem.data = oi.is_load ? value : ex_mem.store_data;
+      activity.mem.data = inst.is_load ? value : ex_mem.store_data;
       if (dcache_ && !dcache_->access(ex_mem.alu)) {
         // Blocking miss: the access completes architecturally now; the
         // refill penalty freezes the machine for the following cycles.
         miss_stall_remaining_ = dcache_->config().miss_penalty;
       }
     }
-    next_mem_wb = MemWb{true, ex_mem.inst, ex_mem.pc, value};
+    next_mem_wb = MemWb{true, ex_mem.pc, value};
   }
 
   // ---- EX ----
@@ -240,19 +250,20 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   bool flush = false;
   std::uint32_t flush_target = 0;
   if (id_ex.valid) {
+    const DecodedInst& inst = text_[id_ex.pc];
     std::uint32_t a = id_ex.a;
     std::uint32_t b = id_ex.b;
-    if (const auto s1 = id_ex.inst.src1()) a = forwarded(*s1, a);
-    if (const auto s2 = id_ex.inst.src2()) b = forwarded(*s2, b);
-    const ExOutput out = execute(id_ex.inst, id_ex.pc, a, b);
-    next_ex_mem = ExMem{true, id_ex.inst, id_ex.pc, out.result, b};
+    if (inst.src1 != kNoReg) a = forwarded(inst.src1, a);
+    if (inst.src2 != kNoReg) b = forwarded(inst.src2, b);
+    const ExOutput out = execute(inst, id_ex.pc, a, b);
+    next_ex_mem = ExMem{true, id_ex.pc, out.result, b};
     if (out.control_taken) {
       flush = true;
       flush_target = out.target;
     }
     activity.ex.valid = true;
-    activity.ex.unit = isa::info(id_ex.inst.op).unit;
-    activity.ex.secure = id_ex.inst.secure;
+    activity.ex.unit = inst.unit;
+    activity.ex.secure = inst.secure;
     activity.ex.a = a;
     activity.ex.b = b;
     activity.ex.result = out.result;
@@ -262,12 +273,11 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   IdEx next_id_ex;
   bool stall = false;
   if (if_id.valid) {
-    const Instruction& inst = if_id.inst;
-    if (id_ex.valid && isa::info(id_ex.inst.op).is_load) {
-      const auto ldest = id_ex.inst.dest();
-      const auto s1 = inst.src1();
-      const auto s2 = inst.src2();
-      if (ldest && ((s1 && *s1 == *ldest) || (s2 && *s2 == *ldest))) {
+    const DecodedInst& inst = text_[if_id.pc];
+    if (id_ex.valid) {
+      const DecodedInst& producer = text_[id_ex.pc];
+      if (producer.is_load && producer.dest != kNoReg &&
+          (inst.src1 == producer.dest || inst.src2 == producer.dest)) {
         stall = true;
         ++stalls_;
       }
@@ -281,25 +291,17 @@ bool Pipeline::step(energy::CycleActivity& activity) {
       // (possibly secret-derived) of an overwritten register would transit
       // the ID/EX register under a non-secure instruction.
       const auto will_forward = [&](isa::Reg r) {
-        if (id_ex.valid) {
-          const auto d = id_ex.inst.dest();
-          if (d && *d == r) return true;
-        }
-        if (ex_mem.valid) {
-          const auto d = ex_mem.inst.dest();
-          if (d && *d == r) return true;
-        }
-        return false;
+        return (id_ex.valid && text_[id_ex.pc].dest == r) ||
+               (ex_mem.valid && text_[ex_mem.pc].dest == r);
       };
       int reads = 0;
-      const auto port = [&](std::optional<isa::Reg> r) -> std::uint32_t {
-        if (!r) return 0u;
-        if (config_.operand_isolation && will_forward(*r)) return 0u;
+      const auto port = [&](isa::Reg r) -> std::uint32_t {
+        if (r == kNoReg) return 0u;
+        if (config_.operand_isolation && will_forward(r)) return 0u;
         ++reads;
-        return regs_[*r];
+        return regs_[r];
       };
-      next_id_ex = IdEx{true, inst, if_id.pc, port(inst.src1()),
-                        port(inst.src2())};
+      next_id_ex = IdEx{true, if_id.pc, port(inst.src1), port(inst.src2)};
       activity.decode = true;
       activity.rf_reads = reads;
     }
@@ -311,11 +313,11 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   std::uint64_t fetch_bits = 0;
   if (!stall) {
     if (!halt_seen_ && pc_ < program_.text.size()) {
-      const Instruction& inst = program_.text[pc_];
-      fetch_bits = isa::encode(inst);
-      next_if_id = IfId{true, inst, fetch_bits, pc_};
+      const DecodedInst& inst = text_[pc_];
+      fetch_bits = inst.encoded;
+      next_if_id = IfId{true, pc_};
       fetched = true;
-      if (inst.op == Opcode::kHalt) halt_seen_ = true;
+      if (inst.halt) halt_seen_ = true;
       ++pc_;
     } else {
       // Past a halt, or past the end of text while an in-flight control
@@ -345,24 +347,24 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   // ---- Latch energy activity (writes occurring at this clock edge) ----
   // Clock-gated: bubbles and held (stalled) latches are not rewritten.
   if (fetched && !flush) {
-    activity.if_id = energy::LatchWrite{true, false, next_if_id.encoded, 33};
+    activity.if_id = energy::LatchWrite{true, false, fetch_bits, 33};
   }
   if (next_id_ex.valid && !flush) {
     activity.id_ex = energy::LatchWrite{
-        true, next_id_ex.inst.secure,
+        true, text_[next_id_ex.pc].secure,
         static_cast<std::uint64_t>(next_id_ex.a) |
             (static_cast<std::uint64_t>(next_id_ex.b) << 32),
         64};
   }
   if (next_ex_mem.valid) {
     activity.ex_mem = energy::LatchWrite{
-        true, next_ex_mem.inst.secure,
+        true, text_[next_ex_mem.pc].secure,
         static_cast<std::uint64_t>(next_ex_mem.alu) |
             (static_cast<std::uint64_t>(next_ex_mem.store_data) << 32),
         64};
   }
   if (next_mem_wb.valid) {
-    activity.mem_wb = energy::LatchWrite{true, next_mem_wb.inst.secure,
+    activity.mem_wb = energy::LatchWrite{true, text_[next_mem_wb.pc].secure,
                                          next_mem_wb.value, 32};
   }
 

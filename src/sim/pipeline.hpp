@@ -30,6 +30,7 @@
 #include "energy/activity.hpp"
 #include "isa/instruction.hpp"
 #include "sim/cache.hpp"
+#include "sim/decoded.hpp"
 #include "sim/memory.hpp"
 
 namespace emask::sim {
@@ -63,32 +64,28 @@ struct SimResult {
   }
 };
 
-// Latched state between pipeline stages; `valid=false` is a bubble.  At
-// namespace scope (rather than nested in Pipeline) so sim::Snapshot can
-// carry them.
+// Latched state between pipeline stages; `valid=false` is a bubble.  A
+// latch names its instruction by `pc` only: the stages look the rest up in
+// the pre-decoded text (sim::DecodedText).  At namespace scope (rather than
+// nested in Pipeline) so sim::Snapshot can carry them.
 struct IfIdLatch {
   bool valid = false;
-  isa::Instruction inst;
-  std::uint64_t encoded = 0;
   std::uint32_t pc = 0;
 };
 struct IdExLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t a = 0;  // rs value (or rt for shift-by-immediate)
   std::uint32_t b = 0;  // rt value
 };
 struct ExMemLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t alu = 0;         // ALU result or memory address
   std::uint32_t store_data = 0;  // rt value for stores
 };
 struct MemWbLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t value = 0;  // value to write back
 };
@@ -97,14 +94,25 @@ struct Snapshot;
 
 class Pipeline {
  public:
-  explicit Pipeline(const assembler::Program& program, SimConfig config = {});
+  /// `decoded` is the program's pre-decoded text (sim::decode_text), built
+  /// once per device and borrowed for the machine's lifetime; when null the
+  /// machine decodes `program` itself.  A borrowed table whose size does not
+  /// match the program throws std::invalid_argument.
+  explicit Pipeline(const assembler::Program& program, SimConfig config = {},
+                    const DecodedText* decoded = nullptr);
 
   /// Resumes a captured machine mid-run.  `program` must be the same text
   /// the snapshot was taken from (checked by instruction count); the data
   /// *image* may since have been poked only at addresses the pre-snapshot
   /// prefix never touched — forked runs poke fresh inputs into memory(),
-  /// not into the program image.
-  Pipeline(const assembler::Program& program, const Snapshot& snapshot);
+  /// not into the program image.  `decoded` as above.
+  Pipeline(const assembler::Program& program, const Snapshot& snapshot,
+           const DecodedText* decoded = nullptr);
+
+  // The machine may point into its own decoded table: movable, not
+  // copyable (copy a Snapshot instead).
+  Pipeline(const Pipeline&) = delete;
+  Pipeline(Pipeline&&) = default;
 
   /// Advances one clock.  Fills `activity` with what happened.  Returns
   /// false once the machine has halted (activity is then all-idle).
@@ -160,8 +168,11 @@ class Pipeline {
   using MemWb = MemWbLatch;
 
   [[nodiscard]] std::uint32_t forwarded(isa::Reg r, std::uint32_t id_value) const;
+  void use_text(const DecodedText* decoded);
 
   const assembler::Program& program_;
+  DecodedText own_text_;  // filled only when no table was borrowed
+  const DecodedInst* text_ = nullptr;
   SimConfig config_;
   DataMemory dmem_;
 

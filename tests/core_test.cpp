@@ -233,5 +233,75 @@ TEST(SnapshotFork, ForeignSnapshotRejected) {
   EXPECT_THROW((void)other.run_des_from(snap, kPlain), std::invalid_argument);
 }
 
+// Cold runs poke their inputs into the run's memory instead of copying the
+// program.  The old path — poke a copy of the program image, simulate it —
+// survives as run_image and is the oracle: every output must match it bit
+// for bit, full-length and windowed.
+void expect_same_run(const EncryptionRun& a, const EncryptionRun& b) {
+  EXPECT_EQ(a.trace.samples(), b.trace.samples());
+  for (std::size_t c = 0; c < energy::kNumComponents; ++c) {
+    const auto component = static_cast<energy::Component>(c);
+    EXPECT_EQ(a.breakdown.get(component), b.breakdown.get(component))
+        << energy::component_name(component);
+  }
+  EXPECT_EQ(a.sim.cycles, b.sim.cycles);
+  EXPECT_EQ(a.sim.instructions, b.sim.instructions);
+  EXPECT_EQ(a.sim.stalls, b.sim.stalls);
+  EXPECT_EQ(a.sim.flushes, b.sim.flushes);
+  EXPECT_EQ(a.sim.halted, b.sim.halted);
+  EXPECT_EQ(a.cipher, b.cipher);
+}
+
+TEST(ColdRun, RunDesMatchesPokedProgramCopy) {
+  for (const auto policy :
+       {compiler::Policy::kOriginal, compiler::Policy::kSelective}) {
+    const auto p = MaskingPipeline::des(policy);
+    assembler::Program image = p.program();
+    des::poke_key(image, kKey);
+    des::poke_plaintext(image, kPlain);
+    for (const std::uint64_t stop : {std::uint64_t{0}, std::uint64_t{3000}}) {
+      SCOPED_TRACE(stop);
+      expect_same_run(p.run_des(kKey, kPlain, stop), p.run_image(image, stop));
+    }
+  }
+}
+
+TEST(ColdRun, RunDesCbcMatchesPokedProgramCopy) {
+  des::DesAsmOptions options;
+  options.cbc_chain = true;
+  const auto p = MaskingPipeline::des(compiler::Policy::kSelective,
+                                      energy::TechParams::smartcard_025um(),
+                                      options);
+  const std::uint64_t iv = 0xA5A5F00D12345678ull;
+  assembler::Program image = p.program();
+  des::poke_key(image, kKey);
+  des::poke_plaintext(image, kPlain);
+  des::poke_iv(image, iv);
+  const EncryptionRun run = p.run_des_cbc(kKey, kPlain, iv);
+  expect_same_run(run, p.run_image(image));
+  EXPECT_EQ(run.cipher, des::encrypt_block(kPlain ^ iv, kKey));
+}
+
+TEST(ColdRun, ShuffleNopMatchesPokedProgramCopy) {
+  const auto p = MaskingPipeline::des(hiding::Countermeasure{
+      compiler::Policy::kOriginal, hiding::HidingPolicy::kShuffleNop});
+  for (const std::uint64_t pt : {kPlain, ~kPlain}) {
+    assembler::Program image = p.program();
+    des::poke_key(image, kKey);
+    des::poke_plaintext(image, pt);
+    des::poke_nop_schedule(
+        image, MaskingPipeline::shuffle_schedule(p.run_hiding_seed(pt)));
+    expect_same_run(p.run_des(kKey, pt), p.run_image(image));
+  }
+}
+
+// run_image borrows the device's pre-decoded text, so an image whose text
+// is not the device's is refused rather than run against the wrong table.
+TEST(ColdRun, RunImageOfAnotherTextSizeThrows) {
+  const auto p = MaskingPipeline::des(compiler::Policy::kOriginal);
+  const assembler::Program other = assembler::assemble("main:\n  halt\n");
+  EXPECT_THROW((void)p.run_image(other), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace emask::core

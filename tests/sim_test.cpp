@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "assembler/assembler.hpp"
+#include "des/asm_generator.hpp"
+#include "isa/encoding.hpp"
+#include "sim/decoded.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/pipeline.hpp"
 
@@ -646,6 +649,110 @@ TEST(PipelineSnapshot, MemoryForksCopyOnWrite) {
   // The snapshot's view is unchanged (the fork cloned, never mutated).
   EXPECT_EQ(snap.memory.load_word(base), before);
   EXPECT_EQ(forked.memory().load_word(base), before + 1);
+}
+
+// The pre-decoded record is a cache of what the stages used to derive every
+// cycle: it must agree with the ISA layer for every opcode and secure bit,
+// including $zero operands (a $zero source is a read, a $zero destination
+// is no write).
+TEST(DecodedText, RecordMatchesIsaForEveryOpcodeAndSecureBit) {
+  for (int o = 0; o < isa::kNumOpcodes; ++o) {
+    const auto op = static_cast<isa::Opcode>(o);
+    for (const bool secure : {false, true}) {
+      // All-$zero operands, then three distinct registers.
+      for (const isa::Reg r : {isa::Reg{0}, isa::Reg{9}}) {
+        const isa::Instruction inst{op, r, static_cast<isa::Reg>(r ? r + 1 : 0),
+                                    static_cast<isa::Reg>(r ? r + 2 : 0), 7,
+                                    secure};
+        const DecodedInst d = decode(inst);
+        const isa::OpcodeInfo& oi = isa::info(op);
+        const auto reg = [](std::optional<isa::Reg> x) {
+          return x ? *x : DecodedInst::kNoReg;
+        };
+        SCOPED_TRACE(inst.to_string());
+        EXPECT_EQ(d.encoded, isa::encode(inst));
+        EXPECT_EQ(d.imm, inst.imm);
+        EXPECT_EQ(d.op, op);
+        EXPECT_EQ(d.unit, oi.unit);
+        EXPECT_EQ(d.dest, reg(inst.dest()));
+        EXPECT_EQ(d.src1, reg(inst.src1()));
+        EXPECT_EQ(d.src2, reg(inst.src2()));
+        EXPECT_EQ(d.is_load, oi.is_load);
+        EXPECT_EQ(d.is_store, oi.is_store);
+        EXPECT_EQ(d.secure, secure);
+        EXPECT_EQ(d.halt, op == isa::Opcode::kHalt);
+      }
+    }
+  }
+}
+
+TEST(DecodedText, DecodesTheWholeTextInOrder) {
+  const assembler::Program prog = assembler::assemble(kSnapshotProgram);
+  const DecodedText text = decode_text(prog);
+  ASSERT_EQ(text.size(), prog.text.size());
+  for (std::size_t pc = 0; pc < text.size(); ++pc) {
+    EXPECT_EQ(text[pc], decode(prog.text[pc])) << "pc " << pc;
+  }
+}
+
+// A borrowed table must describe the program it is run with; a mismatch is
+// an error, never a silent re-decode.
+TEST(DecodedText, BorrowedTableOfWrongSizeThrows) {
+  const assembler::Program prog = assembler::assemble(kSnapshotProgram);
+  const DecodedText other = decode_text(assembler::assemble("main:\n  halt\n"));
+  EXPECT_THROW(Pipeline(prog, SimConfig{}, &other), std::invalid_argument);
+
+  Pipeline p(prog);
+  energy::CycleActivity a;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(p.step(a));
+  const Snapshot snap = p.snapshot();
+  EXPECT_THROW(Pipeline(prog, snap, &other), std::invalid_argument);
+}
+
+// A machine on a borrowed table steps exactly like one that decoded its
+// program itself.
+TEST(DecodedText, BorrowedTableRunsLikeOwnDecode) {
+  const assembler::Program prog = assembler::assemble(kSnapshotProgram);
+  const DecodedText text = decode_text(prog);
+  Pipeline own(prog);
+  Pipeline borrowed(prog, SimConfig{}, &text);
+  energy::CycleActivity ao;
+  energy::CycleActivity ab;
+  while (true) {
+    const bool more = own.step(ao);
+    ASSERT_EQ(borrowed.step(ab), more);
+    EXPECT_EQ(ao.fetch_bits, ab.fetch_bits);
+    EXPECT_EQ(ao.retire_pc, ab.retire_pc);
+    EXPECT_EQ(ao.rf_reads, ab.rf_reads);
+    if (!more) break;
+  }
+  EXPECT_EQ(own.reg(isa::kS0), borrowed.reg(isa::kS0));
+  EXPECT_EQ(own.result().cycles, borrowed.result().cycles);
+}
+
+// Pages the data image does not cover alias one shared zero page: fresh
+// memories share it, and a store un-shares only the page it writes.
+TEST(DataMemoryZeroPage, UntouchedPagesShareOneZeroPage) {
+  const assembler::Program prog =
+      assembler::assemble(des::generate_des_asm(0, 0));
+  DataMemory a(prog);
+  const DataMemory b(prog);
+  const std::uint32_t high = a.base() + static_cast<std::uint32_t>(a.size()) - 4;
+  const std::uint32_t next_high = high - 4096;
+  ASSERT_GT(next_high - a.base(), prog.data.size());
+  EXPECT_TRUE(a.shares_page_with(b, high));
+  EXPECT_TRUE(a.shares_page_with(b, next_high));
+  // The image's own pages are private to each memory.
+  EXPECT_FALSE(a.shares_page_with(b, a.base()));
+
+  a.store_word(high, 0xDEADBEEFu);
+  EXPECT_FALSE(a.shares_page_with(b, high));
+  EXPECT_TRUE(a.shares_page_with(b, next_high));
+  EXPECT_EQ(a.load_word(high), 0xDEADBEEFu);
+  EXPECT_EQ(b.load_word(high), 0u);
+  // A memory built afterwards still sees zeros: the store cloned the page.
+  EXPECT_EQ(DataMemory(prog).load_word(high), 0u);
+  EXPECT_TRUE(DataMemory(prog).shares_page_with(b, high));
 }
 
 }  // namespace
