@@ -1,5 +1,6 @@
-// Campaign execution: the scenario matrix, run through core::BatchRunner
-// with per-scenario checkpointing.
+// Campaign execution: the scenario matrix, each scenario a trace source
+// (core::BatchRunner for single-block ciphers, session::SessionEngine for
+// des_cbc/tdes_cbc) feeding one analysis, with per-scenario checkpointing.
 //
 // Output directory layout:
 //
@@ -8,7 +9,8 @@
 //                                      the same directory is an error)
 //   <out>/scenarios/<id>/result.csv    deterministic per-scenario summary
 //   <out>/scenarios/<id>/*.csv         analysis artifact (breakdown,
-//                                      guesses, t_per_cycle)
+//                                      guesses, disclosure, t_per_cycle;
+//                                      sessions add blocks, session)
 //   <out>/scenarios/<id>/traces.emts   optional raw trace set
 //   <out>/checkpoints/<id>.ini         resume record (see manifest.hpp)
 //   <out>/manifest.json                deterministic results manifest
@@ -43,23 +45,6 @@
 
 namespace emask::campaign {
 
-/// Which hypothesis/energy implementation executes a campaign.  Results
-/// and every artifact are bit-identical across backends (enforced by
-/// tests); the choice only affects throughput, so it is a runner option
-/// (like --jobs), never a scenario axis, and is not recorded in the
-/// manifest.
-enum class Backend {
-  /// Bitsliced hypothesis providers + word-parallel energy kernels
-  /// honoring an EMASK_HAMMING_BACKEND env override (default).
-  kAuto,
-  /// Scalar hypothesis loops + scalar energy kernels.
-  kScalar,
-  /// Bitsliced everywhere, overriding the environment.
-  kBitslice,
-};
-
-[[nodiscard]] Backend backend_from_name(const std::string& name);
-
 struct RunnerOptions {
   std::string out_dir;
   /// Worker threads per scenario batch; 0 = hardware concurrency.
@@ -73,8 +58,6 @@ struct RunnerOptions {
   bool quiet = false;
   /// Partition of the scenario matrix this run executes (default: all).
   ShardSpec shard;
-  /// Hypothesis/energy backend (`--backend=scalar|bitslice`).
-  Backend backend = Backend::kAuto;
 };
 
 struct CampaignReport {

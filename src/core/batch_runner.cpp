@@ -13,20 +13,17 @@
 #include "util/rng.hpp"
 
 namespace emask::core {
-namespace {
 
-void accumulate(BatchStats& stats, const EncryptionRun& run) {
-  ++stats.encryptions;
-  stats.total_cycles += run.sim.cycles;
-  stats.total_instructions += run.sim.instructions;
-  stats.total_energy_uj += run.total_uj();
+void BatchStats::add(const EncryptionRun& run) {
+  ++encryptions;
+  total_cycles += run.sim.cycles;
+  total_instructions += run.sim.instructions;
+  total_energy_uj += run.total_uj();
   for (std::size_t c = 0; c < energy::kNumComponents; ++c) {
     const auto component = static_cast<energy::Component>(c);
-    stats.breakdown.add(component, run.breakdown.get(component));
+    breakdown.add(component, run.breakdown.get(component));
   }
 }
-
-}  // namespace
 
 BatchRunner::BatchRunner(const MaskingPipeline& pipeline, BatchConfig config)
     : pipeline_(pipeline), config_(config) {}
@@ -134,7 +131,7 @@ void BatchRunner::capture_each(
     for (std::size_t i = 0; i < count; ++i) {
       const BatchInput input = generator(i);
       EncryptionRun run = run_one(pipeline_, input, i);
-      accumulate(stats_, run);
+      stats_.add(run);
       if (forks(input)) ++stats_.snapshot_forks; else ++stats_.cold_starts;
       sink(i, input, run);
     }
@@ -229,7 +226,7 @@ void BatchRunner::capture_each(
         emitted = e + 1;
         space_cv.notify_all();
       }
-      accumulate(stats_, run);
+      stats_.add(run);
       if (forks(input)) ++stats_.snapshot_forks; else ++stats_.cold_starts;
       sink(e, input, run);
     }

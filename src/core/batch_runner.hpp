@@ -129,6 +129,11 @@ struct BatchStats {
   std::uint64_t cold_starts = 0;             // runs simulated from cycle 0
   std::uint64_t snapshot_prefix_cycles = 0;  // fork_cycle of the snapshot
 
+  /// Books one run's totals (count, cycles, instructions, energy and its
+  /// per-component breakdown).  Callers add runs in serial order, which
+  /// keeps the floating-point sums deterministic.
+  void add(const EncryptionRun& run);
+
   [[nodiscard]] double encryptions_per_sec() const {
     return wall_seconds > 0.0 ? static_cast<double>(encryptions) / wall_seconds
                               : 0.0;

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "energy/kernels.hpp"
+#include "bitslice/hamming.hpp"
 #include "util/bitops.hpp"
 
 namespace emask::energy {
@@ -56,7 +56,7 @@ class MaskableBus {
         // which oppose each other exactly when d_i == d_{i+1}.  Coupling
         // therefore leaks the adjacent-bit-equality pattern even in secure
         // mode — the residual channel the paper warns about.
-        coupling = coupling_energy_ * energy::secure_opposing(value, width_);
+        coupling = coupling_energy_ * bitslice::secure_opposing(value, width_);
       }
       return line_energy_ * width_ + coupling;
     }
@@ -66,7 +66,7 @@ class MaskableBus {
       // delta_i in {-1, 0, +1}: falling, quiet, rising.  Each adjacent
       // pair pays in proportion to how differently its lines move.
       coupling =
-          coupling_energy_ * energy::coupling_events(last_, value, width_);
+          coupling_energy_ * bitslice::coupling_events(last_, value, width_);
     }
     last_ = value;
     return line_energy_ * std::popcount(rising) + coupling;
@@ -88,7 +88,7 @@ class MaskableBus {
     double coupling = 0.0;
     if (coupling_energy_ > 0.0) {
       coupling =
-          coupling_energy_ * energy::coupling_events(rand, value, width_);
+          coupling_energy_ * bitslice::coupling_events(rand, value, width_);
     }
     last_ = value;
     return line_energy_ * std::popcount(value ^ rand) + coupling;

@@ -271,6 +271,7 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
           }
           result.blocks[i].cycles += r.sim.cycles;
           result.blocks[i].energy_uj += r.total_uj();
+          result.stats.add(r);
           if (sink) {
             BlockEvent ev;
             ev.block = i;
@@ -281,6 +282,7 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
             sink(ev, r);
           }
         });
+    result.stats.threads_used = runner.stats().threads_used;
     // Amortization math is snapshot-mode independent: the prefix length is
     // a property of the program, reused from the runner's snapshot when it
     // took one and measured once otherwise.  Non-fork-eligible devices

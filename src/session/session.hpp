@@ -176,6 +176,9 @@ struct SessionResult {
   std::uint64_t session_cycles = 0;    // amortized: prefix + N * body
   std::uint64_t cold_cycles = 0;       // N * block_cycles
   double total_uj = 0.0;               // summed full block energies
+  /// Run totals of every simulated (block, stage) run, booked in capture
+  /// order, and the workers the capture used.
+  core::BatchStats stats;
 
   [[nodiscard]] double amortized_speedup() const {
     return session_cycles > 0 ? static_cast<double>(cold_cycles) /

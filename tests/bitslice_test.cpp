@@ -1,17 +1,15 @@
 // Bitsliced backend equivalence: every sliced primitive, hypothesis
 // generator, and energy kernel is checked bit-for-bit against the scalar
-// path it replaces — the correctness story behind making bitslice the
-// default campaign backend.  Suites are prefixed "Bitslice" so the TSan CI
+// path it replaced — the scalar code survives here and in the analysis
+// attacks' inline hypotheses as the oracle; the sliced path is the only
+// production path.  Suites are prefixed "Bitslice" so the TSan CI
 // job picks them up alongside the Adversary suites.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -24,10 +22,7 @@
 #include "bitslice/hamming.hpp"
 #include "bitslice/providers.hpp"
 #include "bitslice/slice.hpp"
-#include "campaign/runner.hpp"
-#include "campaign/spec.hpp"
 #include "des/des.hpp"
-#include "energy/kernels.hpp"
 #include "energy/maskable.hpp"
 #include "util/rng.hpp"
 
@@ -258,65 +253,43 @@ TEST(BitsliceKernels, SecureOpposingMatchesScalar) {
   }
 }
 
-// Restores the process-wide energy kernel backend on scope exit.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(energy::hamming_backend()) {}
-  ~BackendGuard() { energy::set_hamming_backend(saved_); }
-
- private:
-  energy::HammingBackend saved_;
-};
-
-TEST(BitsliceKernels, BusEnergiesIdenticalAcrossBackends) {
-  const BackendGuard guard;
+// Every MaskableBus transfer mode against an oracle built from the scalar
+// per-pair loops: the bus's word-parallel kernels must count the same
+// integer events, so the energies are bit-identical.
+TEST(BitsliceKernels, BusEnergiesMatchScalarOracle) {
+  constexpr double kLine = 6.25e-12;
+  constexpr double kCoupling = 1.25e-12;  // coupling on
   util::Rng rng(0xB17D);
-  std::vector<std::uint64_t> values;
-  std::vector<bool> secure;
-  for (int i = 0; i < 500; ++i) {
-    values.push_back(rng.next_u64());
-    secure.push_back((rng.next_u32() & 3) == 0);
-  }
   for (const int width : {32, 33}) {
-    auto capture = [&](energy::HammingBackend backend) {
-      energy::set_hamming_backend(backend);
-      energy::MaskableBus bus(width, 6.25e-12, 1.25e-12);  // coupling on
-      std::vector<double> energies;
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        energies.push_back(bus.transfer(values[i], secure[i]));
+    const std::uint64_t mask = (1ull << width) - 1ull;
+    energy::MaskableBus bus(width, kLine, kCoupling);
+    std::uint64_t last = 0;  // the bus starts discharged
+    for (int i = 0; i < 600; ++i) {
+      const std::uint64_t value = rng.next_u64() & mask;
+      const std::uint32_t mode = rng.next_u32() % 4;
+      double actual = 0.0;
+      double expected = 0.0;
+      if (mode == 0) {  // secure: constant recharge + adjacent-equal pairs
+        actual = bus.transfer(value, true);
+        expected = kLine * width +
+                   kCoupling * secure_opposing_scalar(value, width);
+        last = mask;  // left pre-charged
+      } else if (mode == 1) {  // random precharge
+        const std::uint64_t rand = rng.next_u64() & mask;
+        actual = bus.transfer_random(value, rand);
+        expected = kLine * std::popcount(value ^ rand) +
+                   kCoupling * coupling_events_scalar(rand, value, width);
+        last = value;
+      } else {  // normal: rising lines + coupling against the last word
+        actual = bus.transfer(value, false);
+        expected = kLine * std::popcount(~last & value) +
+                   kCoupling * coupling_events_scalar(last, value, width);
+        last = value;
       }
-      return energies;
-    };
-    const auto scalar = capture(energy::HammingBackend::kScalar);
-    const auto sliced = capture(energy::HammingBackend::kBitslice);
-    ASSERT_EQ(scalar.size(), sliced.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      // Exact equality: same integer event count times the same constant.
-      EXPECT_EQ(scalar[i], sliced[i]) << "width " << width << " step " << i;
+      EXPECT_EQ(actual, expected)
+          << "width " << width << " step " << i << " mode " << mode;
     }
   }
-}
-
-TEST(BitsliceKernels, VerifyBackendAcceptsMatchingKernels) {
-  const BackendGuard guard;
-  energy::set_hamming_backend(energy::HammingBackend::kVerify);
-  util::Rng rng(0xB17E);
-  energy::MaskableBus bus(33, 6.25e-12, 1.25e-12);
-  for (int i = 0; i < 200; ++i) {
-    (void)bus.transfer(rng.next_u64(), (i & 7) == 0);  // aborts on mismatch
-  }
-  EXPECT_EQ(energy::hamming_backend(), energy::HammingBackend::kVerify);
-}
-
-TEST(BitsliceKernels, BackendNamesParse) {
-  EXPECT_EQ(energy::hamming_backend_from_name("scalar"),
-            energy::HammingBackend::kScalar);
-  EXPECT_EQ(energy::hamming_backend_from_name("bitslice"),
-            energy::HammingBackend::kBitslice);
-  EXPECT_EQ(energy::hamming_backend_from_name("verify"),
-            energy::HammingBackend::kVerify);
-  EXPECT_THROW((void)energy::hamming_backend_from_name("psychic"),
-               std::invalid_argument);
 }
 
 // ---- providers.hpp: attack-level equivalence ----
@@ -421,80 +394,6 @@ TEST(BitsliceProviders, CountMismatchIsRejected) {
   analysis::CollisionAttack collision(analysis::CollisionConfig{});
   EXPECT_THROW(collision.set_provider(std::make_shared<CpaProvider>(0)),
                std::invalid_argument);
-}
-
-// ---- whole-campaign byte-identity across backends and thread counts ----
-
-namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(BitsliceCampaign, BackendsAreByteIdenticalAtAnyThreadCount) {
-  const BackendGuard guard;
-  const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(
-      "[campaign]\n"
-      "name = backend_identity\n"
-      "[axes]\n"
-      "policy = original\n"
-      "analysis = dpa, cpa, mlpa, collision\n"
-      "traces = 4\n");
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_backend_ident";
-  fs::remove_all(base);
-
-  struct Run {
-    const char* dir;
-    campaign::Backend backend;
-    std::size_t jobs;
-  };
-  const Run runs[] = {
-      {"scalar-j1", campaign::Backend::kScalar, 1},
-      {"bitslice-j2", campaign::Backend::kBitslice, 2},
-      {"bitslice-j8", campaign::Backend::kBitslice, 8},
-  };
-  for (const Run& run : runs) {
-    campaign::RunnerOptions options;
-    options.out_dir = (base / run.dir).string();
-    options.jobs = run.jobs;
-    options.quiet = true;
-    options.backend = run.backend;
-    EXPECT_TRUE(campaign::CampaignRunner(spec, options).run().complete)
-        << run.dir;
-  }
-
-  const fs::path reference = base / runs[0].dir;
-  for (int i = 1; i < 3; ++i) {
-    const fs::path other = base / runs[i].dir;
-    EXPECT_EQ(read_file(reference / "manifest.json"),
-              read_file(other / "manifest.json"))
-        << runs[i].dir;
-    EXPECT_EQ(read_file(reference / "summary.csv"),
-              read_file(other / "summary.csv"))
-        << runs[i].dir;
-    for (const auto& entry : fs::directory_iterator(reference / "scenarios")) {
-      for (const auto& file : fs::directory_iterator(entry.path())) {
-        const fs::path twin = other / "scenarios" / entry.path().filename() /
-                              file.path().filename();
-        EXPECT_EQ(read_file(file.path()), read_file(twin))
-            << "mismatch at " << twin;
-      }
-    }
-  }
-  fs::remove_all(base);
-}
-
-TEST(BitsliceCampaign, BackendNamesParse) {
-  EXPECT_EQ(campaign::backend_from_name("scalar"), campaign::Backend::kScalar);
-  EXPECT_EQ(campaign::backend_from_name("bitslice"),
-            campaign::Backend::kBitslice);
-  EXPECT_EQ(campaign::backend_from_name("auto"), campaign::Backend::kAuto);
-  EXPECT_THROW((void)campaign::backend_from_name("psychic"),
-               campaign::SpecError);
 }
 
 }  // namespace

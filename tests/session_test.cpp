@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -507,6 +508,31 @@ TEST(SessionCampaign, AttackDisclosureIsByteIdenticalAcrossJobs) {
     ASSERT_EQ(other.size(), 1u);
     EXPECT_EQ(read_file(reference[0]), read_file(other[0]));
   }
+  fs::remove_all(base);
+}
+
+TEST(SessionCampaign, DefaultJobsReportWorkerThreads) {
+  // jobs = 0 means "all cores": the scenario must report the worker count
+  // its capture actually used, never the option's 0.
+  const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(
+      "[campaign]\nname = session_threads\n[axes]\n"
+      "policy = original\ncipher = des_cbc, tdes_cbc\n"
+      "analysis = energy, cpa\nsession_length = 4\n");
+  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_threads";
+  fs::remove_all(base);
+  campaign::RunnerOptions options;
+  options.out_dir = base.string();
+  options.jobs = 0;
+  options.quiet = true;
+  const campaign::CampaignReport report =
+      campaign::CampaignRunner(spec, options).run();
+  ASSERT_TRUE(report.complete);
+  ASSERT_EQ(report.outcomes.size(), 4u);
+  for (const campaign::ScenarioOutcome& o : report.outcomes) {
+    EXPECT_GT(o.result.threads_used, 0u) << o.scenario.id;
+  }
+  EXPECT_FALSE(std::regex_search(read_file(base / "timings.json"),
+                                 std::regex("\"threads\": 0\\b")));
   fs::remove_all(base);
 }
 

@@ -6,10 +6,12 @@
 //                  [--report]
 //   emask-campaign merge DIR... --out=DIR [--quiet]
 //
-// `run` expands the spec's axes into a scenario grid and executes it
-// through the parallel BatchRunner with per-scenario checkpointing; a
-// killed campaign rerun with --resume continues from the last completed
-// scenario and produces a byte-identical manifest.  --shard=i/N executes
+// `run` expands the spec's axes into a scenario grid and executes it with
+// per-scenario checkpointing: single-block ciphers through the parallel
+// BatchRunner, des_cbc/tdes_cbc through the session engine, attacks always
+// through the bitsliced hypothesis providers.  A killed campaign rerun
+// with --resume continues from the last completed scenario and produces a
+// byte-identical manifest.  --shard=i/N executes
 // only the scenarios of one deterministic partition (round-robin over the
 // canonical matrix order) and writes manifest.shard-i-of-N.json instead.
 // `merge` validates N such shard directories (same spec hash, disjoint and
@@ -36,7 +38,6 @@ int run_command(int argc, char** argv) {
   std::string spec_path;
   std::string out_dir;
   std::string shard_text;
-  std::string backend_text;
   std::size_t jobs = 0;
   std::size_t limit = 0;
   bool resume = false;
@@ -55,9 +56,6 @@ int run_command(int argc, char** argv) {
                   "stop after K executed scenarios (controlled interrupt)");
   parser.opt_string("shard", &shard_text, "i/N",
                     "run only partition i of N (for distributed sweeps)");
-  parser.opt_string("backend", &backend_text, "NAME",
-                    "hypothesis/energy backend: auto, scalar, or bitslice "
-                    "(bit-identical results; default bitslice)");
   parser.flag("resume", &resume, "reuse checkpoints from a previous run");
   parser.flag("dry-run", &dry_run, "print the scenario matrix and exit");
   parser.flag("quiet", &quiet, "suppress per-scenario progress output");
@@ -80,9 +78,6 @@ int run_command(int argc, char** argv) {
     options.resume = resume;
     options.limit = limit;
     options.quiet = quiet;
-    if (!backend_text.empty()) {
-      options.backend = campaign::backend_from_name(backend_text);
-    }
     if (!shard_text.empty()) {
       options.shard = campaign::ShardSpec::parse(shard_text);
     }
