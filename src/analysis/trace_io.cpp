@@ -75,6 +75,13 @@ TraceSet load_trace_set(const std::string& path) {
   if (len != 0 && row_bytes / sizeof(float) < len) {
     throw std::runtime_error("trace set: corrupt trace length in " + path);
   }
+  if (n == 0 && len != 0) {
+    // Nothing below would bound len by the file size; the writer never
+    // records a length without a trace.
+    throw std::runtime_error("trace set: corrupt trace length in " + path +
+                             " (no traces of length " + std::to_string(len) +
+                             ")");
+  }
   const std::uint64_t expected = kHeaderBytes + n * row_bytes;
   if (n != 0 && (expected - kHeaderBytes) / n != row_bytes) {
     throw std::runtime_error("trace set: corrupt trace count in " + path);

@@ -35,8 +35,8 @@ void save_trace_set(const std::string& path, const TraceSet& set);
 
 /// Reads a set; throws std::runtime_error on IO failure, bad magic,
 /// unsupported version, a header that does not match the file's actual
-/// size (truncation, trailing bytes, or a corrupted count), or short
-/// reads.
+/// size (truncation, trailing bytes, or a corrupted count or length), or
+/// short reads.
 [[nodiscard]] TraceSet load_trace_set(const std::string& path);
 
 /// Incremental EMTS writer: streams a trace set of known cardinality to

@@ -8,12 +8,15 @@
 // is clear, the complementary rail's evaluation clock is gated off
 // ("secure & v" in the paper's figure), halving the energy but making it
 // data-dependent again.
+//
+// The circuit is still modelled node by node — each of the 64 dynamic
+// nodes (dynamic_gate.hpp) keeps its own charge state — but the state of a
+// rail is held as one 32-bit mask, bit i set while node i is charged, so a
+// cycle is a few word operations instead of a walk over 64 node objects.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
-
-#include "dualrail/dynamic_gate.hpp"
 
 namespace emask::dualrail {
 
@@ -41,8 +44,12 @@ class DualRailXor32 {
   [[nodiscard]] int discharged_nodes() const { return discharged_; }
 
  private:
-  std::vector<DynamicNode> true_rail_;        // 32 nodes: a ^ b
-  std::vector<DynamicNode> complement_rail_;  // 32 nodes: ~(a ^ b)
+  // recharge_[k] is C*V^2 added k times in sequence from 0.0: bit for bit
+  // the sum of k per-node recharge energies in any node order, because the
+  // nodes that stayed charged contribute an exact 0.0.
+  std::array<double, 65> recharge_{};
+  std::uint32_t true_charged_ = ~0u;  // a ^ b rail; powered up charged
+  std::uint32_t comp_charged_ = ~0u;  // ~(a ^ b) rail
   std::uint32_t result_ = 0;
   int discharged_ = 0;
 };

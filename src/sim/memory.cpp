@@ -54,37 +54,6 @@ void DataMemory::check(std::uint32_t address) const {
   }
 }
 
-DataMemory::Page& DataMemory::writable_page(std::size_t page_index) {
-  std::shared_ptr<Page>& slot = pages_[page_index];
-  // use_count() == 1 means this DataMemory is the sole owner: writing in
-  // place is safe.  Shared pages are never mutated — they are replaced by a
-  // private clone, so snapshots and sibling forks keep their view.
-  if (slot.use_count() > 1) slot = std::make_shared<Page>(*slot);
-  return *slot;
-}
-
-std::uint32_t DataMemory::load_word(std::uint32_t address) const {
-  check(address);
-  const std::size_t off = address - base();
-  const Page& page = *pages_[off / kPageBytes];
-  const std::size_t o = off % kPageBytes;
-  return static_cast<std::uint32_t>(page[o]) |
-         (static_cast<std::uint32_t>(page[o + 1]) << 8) |
-         (static_cast<std::uint32_t>(page[o + 2]) << 16) |
-         (static_cast<std::uint32_t>(page[o + 3]) << 24);
-}
-
-void DataMemory::store_word(std::uint32_t address, std::uint32_t value) {
-  check(address);
-  const std::size_t off = address - base();
-  Page& page = writable_page(off / kPageBytes);
-  const std::size_t o = off % kPageBytes;
-  page[o] = static_cast<std::uint8_t>(value & 0xFF);
-  page[o + 1] = static_cast<std::uint8_t>((value >> 8) & 0xFF);
-  page[o + 2] = static_cast<std::uint8_t>((value >> 16) & 0xFF);
-  page[o + 3] = static_cast<std::uint8_t>((value >> 24) & 0xFF);
-}
-
 bool DataMemory::shares_page_with(const DataMemory& other,
                                   std::uint32_t address) const {
   check(address);

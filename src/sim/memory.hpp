@@ -2,8 +2,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -30,8 +32,19 @@ class DataMemory {
   explicit DataMemory(const assembler::Program& program,
                       std::size_t size_bytes = 1u << 20);
 
-  [[nodiscard]] std::uint32_t load_word(std::uint32_t address) const;
-  void store_word(std::uint32_t address, std::uint32_t value);
+  // Inline: the pipeline's MEM stage calls these on every load and store.
+  [[nodiscard]] std::uint32_t load_word(std::uint32_t address) const {
+    const std::size_t off = offset(address);
+    std::uint32_t word = 0;
+    std::memcpy(&word, pages_[off / kPageBytes]->data() + off % kPageBytes, 4);
+    return little_endian(word);
+  }
+  void store_word(std::uint32_t address, std::uint32_t value) {
+    const std::size_t off = offset(address);
+    const std::uint32_t word = little_endian(value);
+    std::memcpy(writable_page(off / kPageBytes).data() + off % kPageBytes,
+                &word, 4);
+  }
 
   [[nodiscard]] std::uint32_t base() const { return assembler::kDataBase; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -52,7 +65,35 @@ class DataMemory {
 
   [[nodiscard]] static const std::shared_ptr<Page>& zero_page();
   void check(std::uint32_t address) const;
-  [[nodiscard]] Page& writable_page(std::size_t page_index);
+
+  /// Byte offset of the aligned, in-range word at `address`; anything else
+  /// takes the cold path into check(), which throws.
+  [[nodiscard]] std::size_t offset(std::uint32_t address) const {
+    if (address % 4 != 0 || address < base() || address - base() + 4 > size_)
+        [[unlikely]] {
+      check(address);
+    }
+    return address - base();
+  }
+
+  /// The image is little-endian whatever the host's byte order.
+  [[nodiscard]] static std::uint32_t little_endian(std::uint32_t word) {
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap32(word);
+    }
+    return word;
+  }
+
+  [[nodiscard]] Page& writable_page(std::size_t page_index) {
+    std::shared_ptr<Page>& slot = pages_[page_index];
+    // use_count() == 1 means this DataMemory is the sole owner: writing in
+    // place is safe.  Shared pages are never mutated — they are replaced by
+    // a private clone, so snapshots and sibling forks keep their view.
+    if (slot.use_count() > 1) [[unlikely]] {
+      slot = std::make_shared<Page>(*slot);
+    }
+    return *slot;
+  }
 
   std::size_t size_ = 0;  // logical size in bytes (last page may be partial)
   std::vector<std::shared_ptr<Page>> pages_;

@@ -98,6 +98,10 @@ ExOutput execute(const DecodedInst& inst, std::uint32_t pc, std::uint32_t a,
   return out;
 }
 
+[[noreturn, gnu::cold]] void load_use_violation() {
+  throw std::logic_error("Pipeline: load-use forwarding violation");
+}
+
 }  // namespace
 
 void Pipeline::use_text(const DecodedText* decoded) {
@@ -173,16 +177,16 @@ Snapshot Pipeline::snapshot() const {
                   .text_size = program_.text.size()};
 }
 
-std::uint32_t Pipeline::forwarded(isa::Reg r, std::uint32_t id_value) const {
+// Inline: EX asks for up to two operands every cycle.
+inline std::uint32_t Pipeline::forwarded(isa::Reg r,
+                                         std::uint32_t id_value) const {
   if (r == isa::kZero) return 0;
   // Younger result wins: the instruction currently in MEM first.
   if (ex_mem_.valid) {
     const DecodedInst& d = text_[ex_mem_.pc];
     if (d.dest == r) {
-      if (d.is_load) {
-        // The interlock must have kept the consumer out of EX.
-        throw std::logic_error("Pipeline: load-use forwarding violation");
-      }
+      // The interlock must have kept the consumer out of EX.
+      if (d.is_load) [[unlikely]] load_use_violation();
       return ex_mem_.alu;
     }
   }

@@ -3,10 +3,14 @@
 // energy — is independent of the operand data in secure mode.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "dualrail/adder_unit.hpp"
 #include "dualrail/dynamic_gate.hpp"
 #include "dualrail/precharged_bus.hpp"
 #include "dualrail/xor_unit.hpp"
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 namespace emask::dualrail {
@@ -14,6 +18,51 @@ namespace {
 
 constexpr double kVdd = 2.5;
 constexpr double kNodeCap = 3e-15;  // paper-calibrated XOR node
+
+/// Test oracle for DualRailXor32: the Fig. 5 circuit as 64 DynamicNode
+/// objects, pre-charged and evaluated one node at a time.
+class NodeXorOracle {
+ public:
+  NodeXorOracle(double node_cap_farads, double vdd) {
+    for (int i = 0; i < 32; ++i) {
+      true_rail_.emplace_back(node_cap_farads, vdd);
+      complement_rail_.emplace_back(node_cap_farads, vdd);
+    }
+  }
+
+  CycleEnergy cycle(std::uint32_t a, std::uint32_t b, bool secure) {
+    CycleEnergy e;
+    for (std::size_t i = 0; i < 32; ++i) {
+      e.precharge += true_rail_[i].precharge();
+      e.precharge += complement_rail_[i].precharge();
+    }
+    const std::uint32_t x = a ^ b;
+    discharged_ = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+      const bool bit = util::bit_of(x, i) != 0;
+      true_rail_[i].evaluate(bit);
+      if (bit) ++discharged_;
+      if (secure) {
+        complement_rail_[i].evaluate(!bit);
+        if (!bit) ++discharged_;
+      }
+    }
+    result_ = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+      if (!true_rail_[i].output()) result_ |= (1u << i);
+    }
+    return e;
+  }
+
+  [[nodiscard]] std::uint32_t result() const { return result_; }
+  [[nodiscard]] int discharged_nodes() const { return discharged_; }
+
+ private:
+  std::vector<DynamicNode> true_rail_;
+  std::vector<DynamicNode> complement_rail_;
+  std::uint32_t result_ = 0;
+  int discharged_ = 0;
+};
 
 TEST(DynamicNode, PrechargeOnlyPaysAfterDischarge) {
   DynamicNode n(1e-12, kVdd);
@@ -101,6 +150,34 @@ TEST(DualRailXor, GatedComplementRailCostsNothingWhenUnused) {
   const CycleEnergy e = x.cycle(0xFFFF0000u, 0, true);
   EXPECT_DOUBLE_EQ(e.precharge, 0.0);  // nothing to recharge yet
   EXPECT_EQ(x.discharged_nodes(), 32);
+}
+
+TEST(DualRailXor, MatchesTheNodeByNodeOracleBitForBit) {
+  // Same (a, b, secure) stream into both; energies compared exactly, so
+  // the recharge table must reproduce the oracle's sequential sum.
+  const std::pair<double, double> circuits[] = {
+      {kNodeCap, kVdd}, {1e-12, kVdd}, {7.3e-15, 1.8}};
+  std::uint64_t seed = 40;
+  for (const auto& [cap, vdd] : circuits) {
+    DualRailXor32 unit(cap, vdd);
+    NodeXorOracle oracle(cap, vdd);
+    util::Rng rng(++seed);
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint32_t a = rng.next_u32();
+      // Equal and complementary operands reach the 0- and 64-recharge
+      // corners of the table.
+      const std::uint64_t shape = rng.next_below(4);
+      const std::uint32_t b = shape == 0 ? a : shape == 1 ? ~a : rng.next_u32();
+      const bool secure = rng.next_below(2) != 0;
+      const CycleEnergy got = unit.cycle(a, b, secure);
+      const CycleEnergy want = oracle.cycle(a, b, secure);
+      EXPECT_EQ(got.precharge, want.precharge) << "cycle " << i;
+      EXPECT_EQ(got.total(), want.total()) << "cycle " << i;
+      EXPECT_EQ(unit.result(), oracle.result()) << "cycle " << i;
+      EXPECT_EQ(unit.discharged_nodes(), oracle.discharged_nodes())
+          << "cycle " << i;
+    }
+  }
 }
 
 TEST(DualRailAdder, ComputesSum) {

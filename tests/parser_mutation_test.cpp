@@ -1,9 +1,11 @@
 // Deterministic mutation tests for the parsers of untrusted input: the
 // INI campaign spec (CampaignSpec::parse + expand), the manifest JSON as
 // the report reads it (report::Model::load) and as merge reads a shard's
-// (campaign::merge_shards).  Every mutant — byte flips, a truncation or a
-// dropped line, drawn from a fixed util::Rng seed — must either parse or
-// throw a std::exception; a crash or a foreign exception fails the test.
+// (campaign::merge_shards), EMTS trace files (analysis::load_trace_set)
+// and assembler source (assembler::assemble).  Every mutant — byte flips,
+// a truncation or a dropped line, drawn from a fixed util::Rng seed — must
+// either parse or throw a std::exception; a crash or a foreign exception
+// fails the test.
 // The sanitizer CI jobs turn memory errors on these paths into failures.
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/trace_io.hpp"
+#include "assembler/assembler.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/spec.hpp"
@@ -53,6 +57,44 @@ constexpr const char* kSpec =
     "[reference]\n"
     "original = 46.4\n"
     "selective = 52.6\n";
+
+// Every directive, pseudo-instruction and operand form the assembler
+// knows, including the secure prefix and the fork marker.
+constexpr const char* kAsm =
+    "# directives\n"
+    ".data\n"
+    "key:    .word 1, 0, 0x1F, -3\n"
+    "        .secret key\n"
+    "iv:     .word 7\n"
+    "        .declassified iv\n"
+    "buf:    .space 64\n"
+    "        .align 2\n"
+    "tab:    .word 0x12345678 ; trailing comment\n"
+    ".text\n"
+    ".globl main\n"
+    ".ent main\n"
+    "main:\n"
+    "  la    $t0, key\n"
+    "  lw    $t1, 4($t0)\n"
+    "  li    $t2, 0x1234\n"
+    "  sxor  $t3, $t1, $t2\n"
+    "  move  $t4, $t3\n"
+    "  smove $t5, $t4\n"
+    "  fork\n"
+    "  addiu $t6, $t5, -1\n"
+    "  sll   $t7, $t6, 3\n"
+    "  srlv  $t7, $t7, $t1\n"
+    "  sw    $t7, 0($t0)\n"
+    "loop:\n"
+    "  bne   $t6, $zero, done\n"
+    "  b     loop\n"
+    "done:\n"
+    "  jal   fn\n"
+    "  nop\n"
+    "  halt\n"
+    "fn:\n"
+    "  jr    $ra\n"
+    ".end main\n";
 
 /// One mutant of `text`: 1-4 byte flips, a truncation, or a dropped line.
 std::string mutate(const std::string& text, util::Rng& rng) {
@@ -180,6 +222,35 @@ TEST(ParserMutation, ShardManifestMergesOrThrows) {
                           (void)campaign::merge_shards(options);
                         });
   fs::remove_all(base);
+}
+
+TEST(ParserMutation, TraceSetLoadsOrThrows) {
+  analysis::TraceSet set;
+  util::Rng values(0x7E);
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    std::vector<double> samples;
+    for (int j = 0; j < 10; ++j) {
+      samples.push_back(static_cast<double>(values.next_below(4000)) / 16.0);
+    }
+    set.add(0x0123456789ABCDEFull ^ i, analysis::Trace(std::move(samples)));
+  }
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "emask_mutant_traces.emts";
+  analysis::save_trace_set(path.string(), set);
+  (void)analysis::load_trace_set(path.string());  // the unmutated file loads
+
+  expect_parse_or_throw(read_file(path), 0xE375, [&](const std::string& text) {
+    write_file(path, text);
+    (void)analysis::load_trace_set(path.string());
+  });
+  fs::remove(path);
+}
+
+TEST(ParserMutation, AssemblerSourceAssemblesOrThrows) {
+  (void)assembler::assemble(kAsm);  // the unmutated source assembles
+  expect_parse_or_throw(kAsm, 0xA5E3, [](const std::string& text) {
+    (void)assembler::assemble(text);
+  });
 }
 
 }  // namespace

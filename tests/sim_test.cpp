@@ -1,6 +1,9 @@
 // Cycle-accurate pipeline: ISA semantics, hazards, forwarding, timing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "assembler/assembler.hpp"
 #include "des/asm_generator.hpp"
 #include "isa/encoding.hpp"
@@ -753,6 +756,65 @@ TEST(DataMemoryZeroPage, UntouchedPagesShareOneZeroPage) {
   // A memory built afterwards still sees zeros: the store cloned the page.
   EXPECT_EQ(DataMemory(prog).load_word(high), 0u);
   EXPECT_TRUE(DataMemory(prog).shares_page_with(b, high));
+}
+
+// The inlined load/store fast path: one range/alignment test in front of
+// the throwing check(), whose message names the faulting address.
+std::string hex_address(std::uint32_t address) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08X", address);
+  return buf;
+}
+
+template <typename Access>
+std::string thrown_message(Access&& access) {
+  try {
+    access();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(DataMemoryGuards, LastWordInRangeLoadsAndStores) {
+  const assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  DataMemory m(prog);
+  const std::uint32_t last = m.base() + static_cast<std::uint32_t>(m.size()) - 4;
+  EXPECT_EQ(m.load_word(last), 0u);
+  m.store_word(last, 0x89ABCDEFu);
+  EXPECT_EQ(m.load_word(last), 0x89ABCDEFu);
+  m.store_word(m.base(), 0x01020304u);
+  EXPECT_EQ(m.load_word(m.base()), 0x01020304u);
+}
+
+TEST(DataMemoryGuards, BadAddressesThrowNamingTheAddress) {
+  const assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  DataMemory m(prog);
+  const std::uint32_t end = m.base() + static_cast<std::uint32_t>(m.size());
+  const std::uint32_t bad[] = {
+      end,           // first word past the end
+      0xFFFFFFFCu,   // top of the address space
+      m.base() - 4,  // last word below kDataBase
+      0,             // address zero
+      m.base() + 2,  // unaligned inside the memory
+      end - 3,       // unaligned inside the last word
+      end - 2,       // unaligned, straddling the end
+  };
+  for (const std::uint32_t address : bad) {
+    const std::string hex = hex_address(address);
+    const std::string load =
+        thrown_message([&] { (void)m.load_word(address); });
+    const std::string store =
+        thrown_message([&] { m.store_word(address, 0xFFFFFFFFu); });
+    EXPECT_NE(load.find(hex), std::string::npos) << load;
+    EXPECT_NE(store.find(hex), std::string::npos) << store;
+  }
+  EXPECT_NE(thrown_message([&] { m.store_word(m.base() + 2, 1); })
+                .find("unaligned"),
+            std::string::npos);
+  // No failed store reached memory.
+  EXPECT_EQ(m.load_word(m.base()), 0u);
+  EXPECT_EQ(m.load_word(end - 4), 0u);
 }
 
 }  // namespace

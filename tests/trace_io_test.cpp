@@ -124,6 +124,21 @@ TEST(TraceIo, RejectsCorruptTraceCountWithoutAllocating) {
   std::remove(path.c_str());
 }
 
+TEST(TraceIo, RejectsTraceLengthWithoutTracesWithoutAllocating) {
+  const std::string path = temp_path("empty_huge_len.emts");
+  save_trace_set(path, TraceSet{});
+  // An empty set's file is the bare header, so its size cannot bound a
+  // corrupted trace_len (bytes 16..23): the loader must not size a row
+  // buffer from it.
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(16);
+  const std::uint64_t absurd = 1ull << 60;
+  f.write(reinterpret_cast<const char*>(&absurd), sizeof(absurd));
+  f.close();
+  EXPECT_THROW(load_trace_set(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(TraceIo, RejectsTrailingBytes) {
   const std::string path = temp_path("trailing.emts");
   TraceSet set;
