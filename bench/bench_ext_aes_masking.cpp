@@ -58,7 +58,7 @@ int main() {
   for (int p = 0; p < 4; ++p) {
     const auto pipeline =
         core::MaskingPipeline::from_source(source, policies[p]);
-    const auto run = pipeline.run_raw();
+    const auto run = pipeline.run({});
     measured[p] = run.total_uj();
     std::printf("%-16s %12.3f %8.3f %9zu %8llu\n",
                 compiler::policy_name(policies[p]).data(), measured[p],
@@ -87,10 +87,10 @@ int main() {
     util::Rng prng(0xCAFE);
     for (int i = 0; i < traces; ++i) {
       const aes::Block pt = random_block(prng);
-      assembler::Program image = device.program();
-      aes::poke_plaintext(image, pt);
+      core::BatchInput input;
+      input.pokes = {aes::plaintext_poke(pt)};
       cpa.add_trace(hypotheses_for(pt, target_byte),
-                    device.run_image(image, w_end).trace);
+                    device.run({input, nullptr, w_end}).trace);
     }
     return cpa.solve();
   };

@@ -26,11 +26,7 @@ struct ClassStats {
 
 std::map<std::string, ClassStats> profile(compiler::Policy policy) {
   const auto pipeline = core::MaskingPipeline::des(policy);
-  assembler::Program image = pipeline.program();
-  des::poke_key(image, bench::kKey);
-  des::poke_plaintext(image, bench::kPlain);
-  sim::Pipeline machine(image);
-  energy::ProcessorEnergyModel model;
+  auto [machine, model] = pipeline.prepare({bench::kKey, bench::kPlain});
   std::map<std::string, ClassStats> stats;
   energy::CycleActivity a;
   double pending = 0.0;  // bubble cycles fold into the next retirement

@@ -31,7 +31,7 @@ int main() {
   for (const auto b : golden) std::printf("%02x", b);
   std::printf("  [%s]\n", ct == golden ? "match" : "MISMATCH");
 
-  const auto run = masked.run_raw();
+  const auto run = masked.run({});
   std::printf("energy: %.2f uJ over %llu cycles; %zu of %zu instructions "
               "secured by the forward slice\n",
               run.total_uj(),
@@ -49,15 +49,15 @@ int main() {
     for (int i = 0; i < 200; ++i) {
       aes::Block p;
       for (auto& b : p) b = static_cast<std::uint8_t>(rng.next_below(256));
-      assembler::Program image = device.program();
-      aes::poke_plaintext(image, p);
+      core::BatchInput input;
+      input.pokes = {aes::plaintext_poke(p)};
       std::vector<int> h(256);
       for (int g = 0; g < 256; ++g) {
         h[static_cast<std::size_t>(g)] = std::popcount(
             static_cast<unsigned>(aes::sbox(static_cast<std::uint8_t>(
                 p[0] ^ g))));
       }
-      cpa.add_trace(h, device.run_image(image, 4000).trace);
+      cpa.add_trace(h, device.run({input, nullptr, 4000}).trace);
     }
     const auto r = cpa.solve();
     std::printf("  %-10s: best guess 0x%02X (true 0x%02X), |rho| = %.3f\n",

@@ -86,31 +86,25 @@ int main() {
     std::printf("diagnostic: line %d: %s\n", d.source_line, d.message.c_str());
   }
 
-  const auto run = masked.run_raw();
+  const auto run = masked.run({});
   std::printf("energy: %.3f uJ over %llu cycles (unmasked: %.3f uJ)\n",
               run.total_uj(),
               static_cast<unsigned long long>(run.sim.cycles),
-              original.run_raw().total_uj());
+              original.run({}).total_uj());
 
-  // Differential check with a one-bit key change.  Poking the data image
-  // directly plays the role of personalizing the card with a new key.
+  // Differential check with a one-bit key change.  Poking the key word
+  // into the run's memory plays the role of personalizing the card.
   auto run_with_key_bit_flipped = [&](const core::MaskingPipeline& p) {
-    assembler::Program prog = p.program();
-    const auto* key = prog.find_symbol("key");
-    prog.poke_word(key->address, prog.initial_word(key->address) ^ 1u);
-    sim::Pipeline pipe(prog);
-    energy::ProcessorEnergyModel model(p.params());
-    analysis::Trace trace;
-    pipe.run([&](const energy::CycleActivity& a) {
-      trace.push(model.cycle(a) * 1e12);
-    });
-    return trace;
+    const auto* key = p.program().find_symbol("key");
+    core::BatchInput flipped;
+    flipped.pokes = {{"key", {p.program().initial_word(key->address) ^ 1u}}};
+    return p.run({flipped}).trace;
   };
 
   const auto d_orig =
-      original.run_raw().trace.difference(run_with_key_bit_flipped(original));
+      original.run({}).trace.difference(run_with_key_bit_flipped(original));
   const auto d_mask =
-      masked.run_raw().trace.difference(run_with_key_bit_flipped(masked));
+      masked.run({}).trace.difference(run_with_key_bit_flipped(masked));
   std::printf("key-bit differential, unmasked: max |diff| = %.2f pJ\n",
               d_orig.max_abs());
   std::printf("key-bit differential, masked  : max |diff| = %.2f pJ "

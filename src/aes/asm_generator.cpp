@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace emask::aes {
 namespace {
@@ -16,15 +17,8 @@ void emit_byte_words(std::ostringstream& os, const char* label,
   }
 }
 
-void poke_byte_words(assembler::Program& program, const char* symbol,
-                     const std::uint8_t* bytes, unsigned count) {
-  const assembler::DataSymbol* s = program.find_symbol(symbol);
-  if (s == nullptr || s->size_bytes < count * 4) {
-    throw std::invalid_argument(std::string("aes: no symbol ") + symbol);
-  }
-  for (unsigned i = 0; i < count; ++i) {
-    program.poke_word(s->address + i * 4, bytes[i]);
-  }
+sim::SymbolPoke byte_words(const char* symbol, const std::uint8_t* bytes) {
+  return sim::SymbolPoke{symbol, std::vector<std::uint32_t>(bytes, bytes + 16)};
 }
 
 /// Emits one MixColumns column (offsets are byte offsets of the column's
@@ -460,12 +454,12 @@ std::string generate_aes_asm(const Key& key, const Block& plaintext,
   return os.str();
 }
 
-void poke_key(assembler::Program& program, const Key& key) {
-  poke_byte_words(program, "key", key.data(), 16);
+sim::SymbolPoke key_poke(const Key& key) {
+  return byte_words("key", key.data());
 }
 
-void poke_plaintext(assembler::Program& program, const Block& plaintext) {
-  poke_byte_words(program, "plain", plaintext.data(), 16);
+sim::SymbolPoke plaintext_poke(const Block& plaintext) {
+  return byte_words("plain", plaintext.data());
 }
 
 Block read_cipher(const sim::DataMemory& memory,

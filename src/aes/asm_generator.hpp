@@ -22,7 +22,7 @@ struct AesAsmOptions {
   bool declassify_output = true;   // emit `.declassified cipher`
   /// Generate the inverse cipher.  Symbol convention is unchanged: `plain`
   /// is the input block (here: the ciphertext) and `cipher` the output
-  /// (here: the recovered plaintext), so poke_plaintext/read_cipher work
+  /// (here: the recovered plaintext), so plaintext_poke/read_cipher work
   /// for both directions.
   bool decrypt = false;
 };
@@ -31,8 +31,10 @@ struct AesAsmOptions {
                                            const Block& plaintext,
                                            const AesAsmOptions& options = {});
 
-void poke_key(assembler::Program& program, const Key& key);
-void poke_plaintext(assembler::Program& program, const Block& plaintext);
+/// The 16 key / block bytes as pokes of the `key` / `plain` symbols (one
+/// byte per word), so one assembly + compilation serves many runs.
+[[nodiscard]] sim::SymbolPoke key_poke(const Key& key);
+[[nodiscard]] sim::SymbolPoke plaintext_poke(const Block& plaintext);
 [[nodiscard]] Block read_cipher(const sim::DataMemory& memory,
                                 const assembler::Program& program);
 

@@ -66,16 +66,9 @@ std::array<std::uint32_t, 16> sha_block_from_u64(std::uint64_t seed) {
   return block;
 }
 
-/// Builds the scenario's device and configures the batch for its cipher.
+/// Builds the scenario's device.
 core::MaskingPipeline build_device(const Scenario& s,
-                                   const energy::TechParams& params,
-                                   core::BatchConfig& bc) {
-  // Energy scenarios measure the whole encryption; attack scenarios stop
-  // at the end of the analysis window (an attacker windowing round 1 does
-  // not pay for the other fifteen).
-  const std::uint64_t stop =
-      s.analysis == Analysis::kEnergy ? 0 : s.window_end;
-  bc.stop_after_cycles = stop;
+                                   const energy::TechParams& params) {
   switch (s.cipher) {
     case Cipher::kDes: {
       core::MaskingPipeline device = core::MaskingPipeline::des(s.policy, params);
@@ -85,33 +78,31 @@ core::MaskingPipeline build_device(const Scenario& s,
       device.set_hiding_seed(s.seed ^ 0x48D1D6F0ull);
       return device;
     }
-    case Cipher::kAes: {
-      const std::string source = aes::generate_aes_asm(
-          aes_key_from_u64(s.key), aes::Block{});  // block poked per run
-      bc.run_function = [stop](const core::MaskingPipeline& device,
-                               const core::BatchInput& input) {
-        assembler::Program image = device.program();
-        aes::poke_plaintext(image, aes_block_from_u64(input.plaintext));
-        return device.run_image(image, stop);
-      };
-      return core::MaskingPipeline::from_source(source, s.policy, params);
-    }
-    case Cipher::kSha1: {
-      const std::string source =
-          sha::generate_sha1_asm(sha_block_from_u64(s.fixed_input));
-      bc.run_function = [stop](const core::MaskingPipeline& device,
-                               const core::BatchInput& input) {
-        assembler::Program image = device.program();
-        sha::poke_message(image, sha_block_from_u64(input.plaintext));
-        return device.run_image(image, stop);
-      };
-      return core::MaskingPipeline::from_source(source, s.policy, params);
-    }
+    case Cipher::kAes:  // block poked per run (scenario_input)
+      return core::MaskingPipeline::from_source(
+          aes::generate_aes_asm(aes_key_from_u64(s.key), aes::Block{}),
+          s.policy, params);
+    case Cipher::kSha1:
+      return core::MaskingPipeline::from_source(
+          sha::generate_sha1_asm(sha_block_from_u64(s.fixed_input)), s.policy,
+          params);
     case Cipher::kDesCbc:
     case Cipher::kTdesCbc:
       break;  // session ciphers never reach build_device
   }
   throw SpecError("unreachable cipher");
+}
+
+/// The run input for the scenario's 64-bit input `x`: a DES plaintext as
+/// is; for aes/sha1, the block expanded from it, as a poke.
+core::BatchInput scenario_input(const Scenario& s, std::uint64_t x) {
+  core::BatchInput input{s.key, x};
+  if (s.cipher == Cipher::kAes) {
+    input.pokes = {aes::plaintext_poke(aes_block_from_u64(x))};
+  } else if (s.cipher == Cipher::kSha1) {
+    input.pokes = {sha::message_poke(sha_block_from_u64(x))};
+  }
+  return input;
 }
 
 void write_result_csv(const std::string& dir, const ScenarioResult& r) {
@@ -307,14 +298,18 @@ class TraceSource {
 
 /// Single-block capture: one core::BatchRunner batch on the scenario's
 /// device.  Input i is plaintext Rng::nth(scenario seed, i) under the
-/// campaign key (for aes/sha1 the u64 is expanded into a block by the run
-/// function, so the same generator drives all three ciphers).
+/// campaign key (for aes/sha1 the u64 is expanded into a block poke by
+/// scenario_input, so the same input stream drives all three ciphers).
 class BlockSource final : public TraceSource {
  public:
   BlockSource(const Scenario& s, const energy::TechParams& params,
               std::size_t jobs, std::string traces_path)
       : TraceSource(s, std::move(traces_path)),
-        device_(build_device(s, params, bc_)) {
+        device_(build_device(s, params)) {
+    // Energy scenarios measure the whole encryption; attack scenarios stop
+    // at the end of the analysis window (an attacker windowing round 1
+    // does not pay for the other fifteen).
+    bc_.stop_after_cycles = s.analysis == Analysis::kEnergy ? 0 : s.window_end;
     bc_.threads = jobs;
     bc_.noise_sigma_pj = s.noise_sigma_pj;
     bc_.noise_seed = s.seed ^ 0x5EED50FAull;
@@ -347,9 +342,7 @@ class BlockSource final : public TraceSource {
     core::BatchRunner runner(device_, bc);
     runner.capture_each(
         count(),
-        [this](std::size_t) -> core::BatchInput {
-          return {s_.key, s_.fixed_input};
-        },
+        [this](std::size_t) { return scenario_input(s_, s_.fixed_input); },
         [&](std::size_t, const core::BatchInput&, core::EncryptionRun& run) {
           sink(run);
         });
@@ -359,7 +352,10 @@ class BlockSource final : public TraceSource {
  private:
   const core::BatchStats& stream(const Sink& sink) override {
     core::BatchRunner runner(device_, bc_);
-    runner.capture_each(count(), core::random_plaintexts(s_.key, s_.seed),
+    runner.capture_each(count(),
+                        [this](std::size_t i) {
+                          return scenario_input(s_, util::Rng::nth(s_.seed, i));
+                        },
                         [&](std::size_t index, const core::BatchInput& input,
                             core::EncryptionRun& run) {
                           sink(index, input.plaintext, run);
@@ -368,7 +364,7 @@ class BlockSource final : public TraceSource {
     return stats_;
   }
 
-  core::BatchConfig bc_;  // before device_: build_device fills it
+  core::BatchConfig bc_;
   core::MaskingPipeline device_;
   core::BatchStats stats_;
 };

@@ -53,12 +53,6 @@ void BatchRunner::capture_each(
   };
 
   if (config_.snapshot == SnapshotMode::kRequire) {
-    if (config_.run_function) {
-      throw std::logic_error(
-          "BatchRunner: SnapshotMode::kRequire is incompatible with a "
-          "custom run_function (the runner cannot prove what it reads "
-          "before the fork point)");
-    }
     if (!pipeline_.has_fork_point()) {
       throw std::logic_error(
           "BatchRunner: SnapshotMode::kRequire but the program declares no "
@@ -73,51 +67,37 @@ void BatchRunner::capture_each(
     }
   }
 
-  // Shared-prefix snapshot, captured once for the batch's first key.  Runs
-  // with that key fork from it; any other key (and any budget ending at or
-  // before the fork point — run_des_from falls back itself) cold-starts.
-  // Workers only read the snapshot; memory forks copy-on-write.
+  // Shared-prefix snapshot, captured once for the batch's first key and
+  // handed to every run: MaskingPipeline::run forks the runs it fits (that
+  // key, a budget past the fork point) and cold-starts the rest.  Workers
+  // only read the snapshot; memory forks copy-on-write.
   std::optional<DesSnapshot> snap;
-  if (count > 0 && !config_.run_function &&
-      config_.snapshot != SnapshotMode::kOff && pipeline_.fork_eligible()) {
+  if (count > 0 && config_.snapshot != SnapshotMode::kOff &&
+      pipeline_.fork_eligible()) {
     snap.emplace(pipeline_.snapshot_des(generator(0).key));
     stats_.snapshot_prefix_cycles = snap->fork_cycle;
   }
-  // Whether run index `input` takes the fork path — pure function of the
-  // input, evaluated again on the serial emission side for stats.
-  const auto forks = [&](const BatchInput& input) {
-    return snap.has_value() && input.key == snap->key &&
-           !(config_.stop_after_cycles != 0 &&
-             config_.stop_after_cycles <= snap->fork_cycle);
-  };
+  const DesSnapshot* fork_from = snap ? &*snap : nullptr;
 
   // One encryption, with per-index measurement noise.  The noise RNG is
   // seeded from the batch index (not from a stream shared across traces),
   // so noisy captures honour the determinism contract too.
-  const bool chained = !config_.run_function && pipeline_.has_iv();
-  const auto run_one = [this, &snap, chained](const MaskingPipeline& device,
-                                              const BatchInput& input,
-                                              std::size_t index)
-      -> EncryptionRun {
+  const auto run_one = [this, fork_from](const MaskingPipeline& device,
+                                         const BatchInput& input,
+                                         std::size_t index) -> EncryptionRun {
     EncryptionRun run =
-        config_.run_function
-            ? config_.run_function(device, input)
-        : (snap.has_value() && input.key == snap->key)
-            ? (chained ? device.run_des_cbc_from(*snap, input.plaintext,
-                                                 input.iv,
-                                                 config_.stop_after_cycles)
-                       : device.run_des_from(*snap, input.plaintext,
-                                             config_.stop_after_cycles))
-        : (chained ? device.run_des_cbc(input.key, input.plaintext, input.iv,
-                                        config_.stop_after_cycles)
-                   : device.run_des(input.key, input.plaintext,
-                                    config_.stop_after_cycles));
+        device.run({input, fork_from, config_.stop_after_cycles});
     if (config_.noise_sigma_pj > 0.0) {
       analysis::NoiseModel noise(config_.noise_sigma_pj,
                                  util::Rng::nth(config_.noise_seed, index));
       run.trace = noise.apply(run.trace);
     }
     return run;
+  };
+  // Books one run on the serial emission side.
+  const auto book = [this](const EncryptionRun& run) {
+    stats_.add(run);
+    ++(run.forked ? stats_.snapshot_forks : stats_.cold_starts);
   };
 
   if (count == 0) {
@@ -131,8 +111,7 @@ void BatchRunner::capture_each(
     for (std::size_t i = 0; i < count; ++i) {
       const BatchInput input = generator(i);
       EncryptionRun run = run_one(pipeline_, input, i);
-      stats_.add(run);
-      if (forks(input)) ++stats_.snapshot_forks; else ++stats_.cold_starts;
+      book(run);
       sink(i, input, run);
     }
     finish();
@@ -226,8 +205,7 @@ void BatchRunner::capture_each(
         emitted = e + 1;
         space_cv.notify_all();
       }
-      stats_.add(run);
-      if (forks(input)) ++stats_.snapshot_forks; else ++stats_.cold_starts;
+      book(run);
       sink(e, input, run);
     }
   } catch (...) {

@@ -31,10 +31,11 @@
 //
 // Shared-prefix forking (SnapshotMode): when the compiled program declares
 // a `fork` marker, the runner captures the plaintext-independent prefix
-// once (MaskingPipeline::snapshot_des) and forks every same-key run from
-// the snapshot.  run_des_from is bit-identical to run_des, so the
-// determinism contract is unaffected — snapshotting is purely a throughput
-// optimization, and fork/cold accounting lands in BatchStats.
+// once (MaskingPipeline::snapshot_des) and hands it to every run;
+// MaskingPipeline::run forks the runs it fits and reports which it forked.
+// A forked run is bit-identical to a cold one, so the determinism contract
+// is unaffected — snapshotting is purely a throughput optimization, and
+// fork/cold accounting lands in BatchStats.
 #pragma once
 
 #include <cstdint>
@@ -48,43 +49,22 @@
 
 namespace emask::core {
 
-/// One encryption job.
-struct BatchInput {
-  std::uint64_t key = 0;
-  std::uint64_t plaintext = 0;
-  /// CBC chaining value, poked into the `iv` symbol of cbc_chain programs
-  /// (the session layer precomputes the chain via the golden model so every
-  /// block stays a pure function of its batch index).  Ignored for programs
-  /// without an `iv` symbol.
-  std::uint64_t iv = 0;
-};
-
 /// Produces the input for batch index `i`.  Must be a pure function of the
 /// index (and thread-safe): the determinism contract hangs on it.
 using InputGenerator = std::function<BatchInput(std::size_t)>;
 
-/// Custom per-encryption run: lets a batch drive non-DES workloads (poke
-/// an AES plaintext or SHA-1 message block into an image copy, then
-/// run_image).  Must be a pure function of (device, input) and thread-safe
-/// — the determinism contract extends to it.  Measurement noise is still
-/// applied by the runner on top of the returned trace.
-using RunFunction =
-    std::function<EncryptionRun(const MaskingPipeline&, const BatchInput&)>;
-
 /// Shared-prefix snapshot/fork policy for a batch (see
 /// MaskingPipeline::snapshot_des).
 enum class SnapshotMode {
-  /// Snapshot when it applies: default DES runs (no custom run_function)
-  /// of a program that declares a `fork` marker.  Anything else falls back
-  /// to cold starts — bit-identical either way.
+  /// Snapshot when the device is fork_eligible(); otherwise every run is
+  /// a cold start — bit-identical either way.
   kAuto,
   /// Never snapshot; every run is a cold start.
   kOff,
-  /// Fail loudly (std::logic_error) if the batch cannot snapshot — a
-  /// custom run_function is configured, or the program declares no `fork`
-  /// marker.  Individual runs may still legitimately fall back cold (a
-  /// key differing from the snapshot key, or a stop_after_cycles budget
-  /// ending at or before the fork point).
+  /// Fail loudly (std::logic_error) if the device is not fork_eligible().
+  /// Individual runs may still legitimately fall back cold (a key
+  /// differing from the snapshot key, or a stop_after_cycles budget ending
+  /// at or before the fork point).
   kRequire,
 };
 
@@ -101,14 +81,7 @@ struct BatchConfig {
   /// Reorder-window slots per worker (bounds resident traces during
   /// streaming capture).
   std::size_t window_per_thread = 4;
-  /// Null = DES: device.run_des(input.key, input.plaintext,
-  /// stop_after_cycles).  Non-null overrides the whole simulation step
-  /// (stop_after_cycles is then the run function's business) and bypasses
-  /// snapshotting — the runner cannot know what a custom run reads before
-  /// the fork point.
-  RunFunction run_function;
-  /// Shared-prefix snapshot/fork policy (ignored for run_function batches
-  /// unless kRequire, which then throws).
+  /// Shared-prefix snapshot/fork policy.
   SnapshotMode snapshot = SnapshotMode::kAuto;
 };
 

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "analysis/tvla.hpp"
-#include "des/asm_generator.hpp"
 #include "util/rng.hpp"
 
 namespace emask::core {
@@ -24,10 +23,8 @@ LeakageMap localize_des_leakage(const MaskingPipeline& pipeline,
   const analysis::TvlaResult t = tvla.solve();
 
   // One instrumented run records which instruction retires at each cycle.
-  assembler::Program image = pipeline.program();
-  des::poke_key(image, fixed_key);
-  des::poke_plaintext(image, fixed_plaintext);
-  sim::Pipeline machine(image, pipeline.sim_config());
+  sim::Pipeline machine =
+      pipeline.prepare(BatchInput{fixed_key, fixed_plaintext}).machine;
   std::vector<std::int64_t> retire_at_cycle;  // -1 = bubble
   energy::CycleActivity a;
   while (machine.step(a)) {

@@ -17,9 +17,11 @@ MaskingPipeline MaskingPipeline::des(const hiding::Countermeasure& policy,
   if (policy.hiding == hiding::HidingPolicy::kShuffleNop) {
     options.shuffle_slots = true;
   }
-  // Key/plaintext placeholders; run_des pokes real values per run.
+  // Key/plaintext placeholders; run() pokes real values per run.
   const std::string source = des::generate_des_asm(0, 0, options);
-  return from_source(source, policy, params);
+  MaskingPipeline device = from_source(source, policy, params);
+  device.des_inputs_ = true;
+  return device;
 }
 
 MaskingPipeline MaskingPipeline::from_source(const std::string& source,
@@ -121,50 +123,72 @@ EncryptionRun drive(sim::Pipeline& pipeline, energy::ProcessorEnergyModel& model
 
 }  // namespace
 
-EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
-                                        std::uint64_t stop_after_cycles) const {
-  sim::Pipeline pipeline(program, sim_config_, text_.get());
-  energy::ProcessorEnergyModel model(params_, hiding_config(0));
-  return drive(pipeline, model, program, {}, stop_after_cycles);
-}
-
 void MaskingPipeline::poke_inputs(sim::DataMemory& memory,
-                                  const std::uint64_t* iv,
-                                  std::uint64_t plaintext) const {
-  des::poke_plaintext(memory, masked_.program, plaintext);
-  if (iv != nullptr) des::poke_iv(memory, masked_.program, *iv);
+                                  const BatchInput& input) const {
+  const assembler::Program& program = masked_.program;
+  if (des_inputs_) {
+    sim::poke_symbol(memory, program,
+                     des::block_poke("plain", input.plaintext));
+    if (has_iv()) {
+      sim::poke_symbol(memory, program, des::block_poke("iv", input.iv));
+    }
+  }
   if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
     // The nop_tab slots are first read after the fork marker, so a forked
     // run draws the same per-plaintext schedule a cold run does.
-    des::poke_nop_schedule(memory, masked_.program,
-                           shuffle_schedule(run_hiding_seed(plaintext)));
+    sim::poke_symbol(memory, program,
+                     des::nop_schedule_poke(
+                         shuffle_schedule(run_hiding_seed(input.plaintext))));
+  }
+  for (const sim::SymbolPoke& poke : input.pokes) {
+    sim::poke_symbol(memory, program, poke);
   }
 }
 
-EncryptionRun MaskingPipeline::cold_des(const std::uint64_t* iv,
-                                        std::uint64_t key,
-                                        std::uint64_t plaintext,
-                                        std::uint64_t stop_after_cycles) const {
+RunMachine MaskingPipeline::prepare(const BatchInput& input) const {
   // Inputs go straight into the run's memory before the first clock —
   // equivalent to poking a copy of the program image, without the copy.
-  sim::Pipeline pipeline(masked_.program, sim_config_, text_.get());
-  des::poke_key(pipeline.memory(), masked_.program, key);
-  poke_inputs(pipeline.memory(), iv, plaintext);
-  energy::ProcessorEnergyModel model(
-      params_, hiding_config(run_hiding_seed(plaintext)));
-  return drive(pipeline, model, masked_.program, {}, stop_after_cycles);
+  RunMachine m{sim::Pipeline(masked_.program, sim_config_, text_.get()),
+               energy::ProcessorEnergyModel(
+                   params_, hiding_config(run_hiding_seed(input.plaintext)))};
+  if (des_inputs_) {
+    sim::poke_symbol(m.machine.memory(), masked_.program,
+                     des::block_poke("key", input.key));
+  }
+  poke_inputs(m.machine.memory(), input);
+  return m;
 }
 
-EncryptionRun MaskingPipeline::run_des(std::uint64_t key,
-                                       std::uint64_t plaintext,
-                                       std::uint64_t stop_after_cycles) const {
-  return cold_des(nullptr, key, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::run_des_cbc(
-    std::uint64_t key, std::uint64_t plaintext, std::uint64_t iv,
-    std::uint64_t stop_after_cycles) const {
-  return cold_des(&iv, key, plaintext, stop_after_cycles);
+EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
+  const DesSnapshot* snap = request.snapshot;
+  const std::uint64_t stop = request.stop_after_cycles;
+  if (snap != nullptr &&
+      snap->machine.text_size != masked_.program.text.size()) {
+    throw std::invalid_argument(
+        "run: snapshot was captured from a different program");
+  }
+  // A snapshot of another key cannot serve this run, and a budget ending
+  // at or before the fork point cannot reuse the captured prefix without
+  // overrunning it: such runs start cold, so no trace is ever longer than
+  // requested.
+  if (snap == nullptr || snap->key != request.input.key ||
+      (stop != 0 && stop <= snap->fork_cycle)) {
+    RunMachine m = prepare(request.input);
+    return drive(m.machine, m.model, masked_.program, {}, stop);
+  }
+  sim::Pipeline pipeline(masked_.program, snap->machine, text_.get());
+  poke_inputs(pipeline.memory(), request.input);
+  energy::ProcessorEnergyModel model = snap->model;  // resume mid-trace
+  // Splice the shared prefix in front, with room for the whole window.
+  std::vector<double> samples;
+  samples.reserve(std::max<std::uint64_t>(
+      std::min(stop, kMaxTraceReserve), snap->prefix.size()));
+  samples.insert(samples.end(), snap->prefix.samples().begin(),
+                 snap->prefix.samples().end());
+  EncryptionRun run = drive(pipeline, model, masked_.program,
+                            analysis::Trace(std::move(samples)), stop);
+  run.forked = true;
+  return run;
 }
 
 DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
@@ -179,20 +203,19 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
         " draws per-trace randomness from cycle 0, so a shared prefix would "
         "pin every forked trace to the same stream — run cold instead");
   }
-  sim::Pipeline pipeline(masked_.program, sim_config_, text_.get());
-  des::poke_key(pipeline.memory(), masked_.program, key);
-  // The plaintext placeholder stays zero: the prefix must be
-  // plaintext-independent, and by construction the marker precedes the
-  // first `plain` load.
+  // The prefix runs on plaintext zero: it must be plaintext-independent,
+  // and by construction the marker precedes the first read of every input
+  // but the key, so each fork's own pokes replace them.  Its model is
+  // stateless up to the fork (random_precharge, the one stateful hiding
+  // mode, is refused above).
+  RunMachine m = prepare(BatchInput{key});
+  sim::Pipeline& pipeline = m.machine;
   const std::uint32_t fork_pc = *masked_.program.fork_point;
-  // The prefix is plaintext-independent, so it cannot consume any of the
-  // per-run hiding stream; wddl's constant mode is stateless and safe.
-  energy::ProcessorEnergyModel model(params_, hiding_config(0));
   analysis::Trace prefix;
   energy::CycleActivity activity;
   bool reached = false;
   while (pipeline.step(activity)) {
-    prefix.push(model.cycle(activity) * 1e12);  // J -> pJ
+    prefix.push(m.model.cycle(activity) * 1e12);  // J -> pJ
     if (activity.retired && activity.retire_pc == fork_pc) {
       reached = true;
       break;
@@ -207,53 +230,8 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
         "snapshot_des: program halted before the fork marker retired");
   }
   const std::uint64_t fork_cycle = pipeline.cycles();
-  return DesSnapshot{pipeline.snapshot(), std::move(model), std::move(prefix),
-                     key, fork_cycle};
-}
-
-EncryptionRun MaskingPipeline::run_des_from(
-    const DesSnapshot& snapshot, std::uint64_t plaintext,
-    std::uint64_t stop_after_cycles) const {
-  return forked_des(snapshot, nullptr, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::run_des_cbc_from(
-    const DesSnapshot& snapshot, std::uint64_t plaintext, std::uint64_t iv,
-    std::uint64_t stop_after_cycles) const {
-  return forked_des(snapshot, &iv, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::forked_des(
-    const DesSnapshot& snapshot, const std::uint64_t* iv,
-    std::uint64_t plaintext, std::uint64_t stop_after_cycles) const {
-  // A budget ending at or before the fork point cannot reuse the captured
-  // prefix without overrunning it — fall back to a cold start so the
-  // emitted trace is never longer than requested.
-  if (stop_after_cycles != 0 && stop_after_cycles <= snapshot.fork_cycle) {
-    return cold_des(iv, snapshot.key, plaintext, stop_after_cycles);
-  }
-  if (snapshot.machine.text_size != masked_.program.text.size()) {
-    throw std::invalid_argument(
-        "run_des_from: snapshot was captured from a different program");
-  }
-  sim::Pipeline pipeline(masked_.program, snapshot.machine, text_.get());
-  poke_inputs(pipeline.memory(), iv, plaintext);
-  energy::ProcessorEnergyModel model = snapshot.model;  // resume mid-trace
-  // Splice the shared prefix in front, with room for the whole window.
-  std::vector<double> samples;
-  samples.reserve(std::max<std::uint64_t>(
-      std::min(stop_after_cycles, kMaxTraceReserve), snapshot.prefix.size()));
-  samples.insert(samples.end(), snapshot.prefix.samples().begin(),
-                 snapshot.prefix.samples().end());
-  return drive(pipeline, model, masked_.program,
-               analysis::Trace(std::move(samples)), stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::run_raw() const { return simulate(masked_.program); }
-
-EncryptionRun MaskingPipeline::run_image(const assembler::Program& image,
-                                         std::uint64_t stop_after_cycles) const {
-  return simulate(image, stop_after_cycles);
+  return DesSnapshot{pipeline.snapshot(), std::move(m.model),
+                     std::move(prefix), key, fork_cycle};
 }
 
 }  // namespace emask::core

@@ -30,6 +30,7 @@ struct EncryptionRun {
   energy::Breakdown breakdown;    // per-component totals, joules
   sim::SimResult sim;
   std::uint64_t cipher = 0;
+  bool forked = false;  // resumed from a DesSnapshot, not cold-started
 
   [[nodiscard]] double total_uj() const { return trace.total_uj(); }
   [[nodiscard]] double mean_pj_per_cycle() const { return trace.mean_pj(); }
@@ -40,8 +41,8 @@ struct EncryptionRun {
 /// key), the energy-model state mid-trace, and the shared prefix trace
 /// spliced in front of every forked trace.  Capture once per (key, device)
 /// with MaskingPipeline::snapshot_des, then fork any number of
-/// per-plaintext runs with run_des_from on the same device — each is
-/// bit-identical to the corresponding cold run_des call, and runs on the
+/// per-plaintext runs from it on the same device — each is bit-identical
+/// to the corresponding cold run, and runs on the
 /// device's program text and pre-decoded table.  Immutable after capture;
 /// safe to share read-only across threads (memory forks copy-on-write at
 /// page granularity).
@@ -51,6 +52,43 @@ struct DesSnapshot {
   analysis::Trace prefix;              // samples for cycles [0, fork_cycle)
   std::uint64_t key = 0;
   std::uint64_t fork_cycle = 0;  // cycle count at capture
+};
+
+/// The per-run inputs of one encryption.
+struct BatchInput {
+  /// DES inputs, poked into the `key` / `plain` symbols of a device built
+  /// by MaskingPipeline::des; other devices ignore them.
+  std::uint64_t key = 0;
+  std::uint64_t plaintext = 0;
+  /// CBC chaining value, poked into the `iv` symbol of cbc_chain programs
+  /// (the session layer precomputes the chain via the golden model so every
+  /// block stays a pure function of its batch index).  Ignored for programs
+  /// without an `iv` symbol.
+  std::uint64_t iv = 0;
+  /// Words for any device's data symbols (an AES block, a SHA-1 message),
+  /// written after the DES inputs.  A forked run writes them after the
+  /// fork point, so they must not name data the shared prefix reads.
+  std::vector<sim::SymbolPoke> pokes{};
+};
+
+/// One run: its inputs, an optional snapshot to fork from, and a budget.
+struct RunRequest {
+  BatchInput input;
+  /// Fork from this snapshot when it holds the input's key and its prefix
+  /// fits the budget; otherwise (or when null) the run cold-starts.
+  const DesSnapshot* snapshot = nullptr;
+  /// Truncate the simulation after this many cycles (0 = run to halt).
+  std::uint64_t stop_after_cycles = 0;
+};
+
+/// A cold machine before its first cycle, every input of its request
+/// poked, with the energy model run() gives it.  Stepping `machine` and
+/// feeding each cycle's activity to `model` reproduces run()'s trace.
+/// The machine runs on its device's program and decoded text, so it must
+/// not outlive the device.
+struct RunMachine {
+  sim::Pipeline machine;
+  energy::ProcessorEnergyModel model;
 };
 
 class MaskingPipeline {
@@ -71,32 +109,45 @@ class MaskingPipeline {
       const std::string& source, const hiding::Countermeasure& policy,
       const energy::TechParams& params = energy::TechParams::smartcard_025um());
 
-  /// Simulates one DES encryption: pokes `key`/`plaintext` into the run's
-  /// data memory (never into a copy of the program), runs to halt, returns
-  /// the trace and the ciphertext.
+  /// The one run path.  Pokes the request's inputs into the run's data
+  /// memory (never into a copy of the program): for a device built by
+  /// des(), the key, the plaintext, the chaining value when has_iv(); under
+  /// shuffle_nop, the per-run delay schedule; then the request's pokes.
+  /// Runs to halt, or for at most `stop_after_cycles` cycles (an attacker
+  /// capturing only the first round does not pay for the other fifteen; a
+  /// truncated run reports cipher = 0).
   ///
-  /// `stop_after_cycles` truncates the simulation (0 = run to halt): an
-  /// attacker capturing only the first round does not need to pay for the
-  /// remaining fifteen.  A truncated run reports cipher = 0.
-  [[nodiscard]] EncryptionRun run_des(std::uint64_t key,
-                                      std::uint64_t plaintext,
-                                      std::uint64_t stop_after_cycles = 0) const;
+  /// With a snapshot of the input's key whose prefix ends before the
+  /// budget, the run resumes at the fork point instead, and is bit-identical
+  /// to the cold run: trace, sim counters, breakdown and cipher.  Any other
+  /// run cold-starts; EncryptionRun::forked says which path ran.  A
+  /// snapshot captured from another program throws std::invalid_argument.
+  [[nodiscard]] EncryptionRun run(const RunRequest& request) const;
 
-  /// run_des for a CBC-chained program (DesAsmOptions::cbc_chain): also
-  /// pokes the chaining value into the `iv` symbol.  Throws
-  /// std::invalid_argument when the program has no `iv` symbol.
-  [[nodiscard]] EncryptionRun run_des_cbc(
-      std::uint64_t key, std::uint64_t plaintext, std::uint64_t iv,
-      std::uint64_t stop_after_cycles = 0) const;
+  /// run() of one DES block, cold.
+  [[nodiscard]] EncryptionRun run_des(
+      std::uint64_t key, std::uint64_t plaintext,
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({{key, plaintext}, nullptr, stop_after_cycles});
+  }
+
+  /// run() of one DES block forked from `snapshot` (cold when the budget
+  /// ends at or before the fork point).
+  [[nodiscard]] EncryptionRun run_des_from(
+      const DesSnapshot& snapshot, std::uint64_t plaintext,
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({{snapshot.key, plaintext}, &snapshot, stop_after_cycles});
+  }
+
+  /// The cold half of run(), for callers that watch every cycle themselves
+  /// (phase profiling, leakage localisation).
+  [[nodiscard]] RunMachine prepare(const BatchInput& input) const;
 
   /// True when the compiled program carries the cbc_chain `iv` symbol —
-  /// its runs must go through run_des_cbc / run_des_cbc_from.
+  /// run() then pokes BatchInput::iv.
   [[nodiscard]] bool has_iv() const {
     return des::has_iv_symbol(masked_.program);
   }
-
-  /// Simulates the program as-is (non-DES sources).
-  [[nodiscard]] EncryptionRun run_raw() const;
 
   /// True when the compiled program declares a `fork` marker (the DES
   /// generator emits one under DesAsmOptions::hoist_key_schedule).
@@ -117,32 +168,6 @@ class MaskingPipeline {
   /// the `fork` marker retires.  Throws if the program has no marker, or if
   /// it halts (or exhausts the cycle budget) before reaching it.
   [[nodiscard]] DesSnapshot snapshot_des(std::uint64_t key) const;
-
-  /// Forks one encryption from a snapshot: pokes `plaintext` into the
-  /// forked memory, resumes at the fork point, and returns a run whose
-  /// trace, sim counters, breakdown, and cipher are bit-identical to
-  /// run_des(snapshot.key, plaintext, stop_after_cycles).  A budget that
-  /// ends at or before the fork point falls back to a cold start, so the
-  /// trace is never longer than requested.
-  [[nodiscard]] EncryptionRun run_des_from(const DesSnapshot& snapshot,
-                                           std::uint64_t plaintext,
-                                           std::uint64_t stop_after_cycles = 0) const;
-
-  /// run_des_from for a CBC-chained program: pokes both the plaintext and
-  /// the chaining value into the forked memory (both symbols are first read
-  /// after the fork marker).  Bit-identical to the corresponding
-  /// run_des_cbc cold start.
-  [[nodiscard]] EncryptionRun run_des_cbc_from(
-      const DesSnapshot& snapshot, std::uint64_t plaintext, std::uint64_t iv,
-      std::uint64_t stop_after_cycles = 0) const;
-
-  /// Simulates an externally patched copy of the compiled program (e.g.
-  /// after poking a new SHA-1 message block into its data image).  The
-  /// image must come from this pipeline's program(): it runs on the
-  /// device's pre-decoded text (a text of another size throws
-  /// std::invalid_argument).
-  [[nodiscard]] EncryptionRun run_image(const assembler::Program& image,
-                                        std::uint64_t stop_after_cycles = 0) const;
 
   [[nodiscard]] const assembler::Program& program() const {
     return masked_.program;
@@ -187,23 +212,9 @@ class MaskingPipeline {
   [[nodiscard]] energy::HidingConfig hiding_config(
       std::uint64_t run_seed) const;
 
-  [[nodiscard]] EncryptionRun simulate(const assembler::Program& program,
-                                       std::uint64_t stop_after_cycles = 0) const;
-
-  /// Pokes the per-run DES inputs other than the key — plaintext, iv (when
-  /// non-null), the shuffle_nop schedule — into a run's memory.  Shared by
-  /// cold starts and forks.
-  void poke_inputs(sim::DataMemory& memory, const std::uint64_t* iv,
-                   std::uint64_t plaintext) const;
-
-  [[nodiscard]] EncryptionRun cold_des(const std::uint64_t* iv,
-                                       std::uint64_t key,
-                                       std::uint64_t plaintext,
-                                       std::uint64_t stop_after_cycles) const;
-  [[nodiscard]] EncryptionRun forked_des(const DesSnapshot& snapshot,
-                                         const std::uint64_t* iv,
-                                         std::uint64_t plaintext,
-                                         std::uint64_t stop_after_cycles) const;
+  /// Pokes every input but the key into a run's memory, cold or forked
+  /// (a fork's memory already holds the snapshot's key).
+  void poke_inputs(sim::DataMemory& memory, const BatchInput& input) const;
 
   compiler::MaskResult masked_;
   hiding::Countermeasure policy_;
@@ -213,6 +224,7 @@ class MaskingPipeline {
   std::shared_ptr<const sim::DecodedText> text_;
   sim::SimConfig sim_config_;
   std::uint64_t hiding_seed_ = 0x9E3779B97F4A7C15ull;
+  bool des_inputs_ = false;  // built by des(): run() pokes key/plaintext/iv
 };
 
 }  // namespace emask::core

@@ -8,7 +8,8 @@
 namespace emask::core {
 
 std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
-                                        const assembler::Program& image) {
+                                        const BatchInput& input) {
+  const assembler::Program& image = pipeline.program();
   // Build the phase table from the text labels, ordered by address.
   std::vector<PhaseEnergy> phases;
   {
@@ -38,22 +39,23 @@ std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
     return *(it == phases.begin() ? it : std::prev(it));
   };
 
-  sim::Pipeline machine(image, pipeline.sim_config());
-  energy::ProcessorEnergyModel model(pipeline.params());
-  energy::CycleActivity a;
+  RunMachine m = pipeline.prepare(input);
   PhaseEnergy* current = &phases.front();
-  while (!machine.halted()) {
-    machine.step(a);
-    const double joules = model.cycle(a);
+  m.machine.run([&](const energy::CycleActivity& a) {
+    const double joules = m.model.cycle(a);
     if (a.retired) current = &phase_of(a.retire_pc);
     current->cycles += 1;
     current->energy_uj += joules * 1e6;
-  }
+  });
   return phases;
 }
 
-SboxWindow des_round1_sbox_window(const assembler::Program& program,
-                                  int sbox) {
+namespace {
+
+// des_round1_sbox_window of `program` with `nop_schedule` (when non-null)
+// poked into the dry run's memory.
+SboxWindow sbox_window(const assembler::Program& program, int sbox,
+                       const sim::SymbolPoke* nop_schedule) {
   SboxWindow w;
   if (sbox < 0 || sbox > 7) return w;
   const auto sbox_label = program.text_labels.find("sbox_loop");
@@ -65,6 +67,9 @@ SboxWindow des_round1_sbox_window(const assembler::Program& program,
   std::vector<std::uint64_t> sboxes;
   std::vector<std::uint64_t> rounds;
   sim::Pipeline p(program);
+  if (nop_schedule != nullptr) {
+    sim::poke_symbol(p.memory(), program, *nop_schedule);
+  }
   energy::CycleActivity a;
   // Round 2's first retirement of round_loop bounds S-box 7's window; no
   // need to simulate further.
@@ -82,16 +87,22 @@ SboxWindow des_round1_sbox_window(const assembler::Program& program,
   return w;
 }
 
+}  // namespace
+
+SboxWindow des_round1_sbox_window(const assembler::Program& program,
+                                  int sbox) {
+  return sbox_window(program, sbox, nullptr);
+}
+
 SboxWindow des_round1_sbox_window_bounds(const assembler::Program& program,
                                          int sbox, std::uint32_t max_delay) {
   const SboxWindow zero = des_round1_sbox_window(program, sbox);
   if (!zero.valid() || max_delay == 0 || !des::has_nop_table(program)) {
     return zero;
   }
-  assembler::Program padded = program;
-  des::poke_nop_schedule(
-      padded, std::vector<std::uint32_t>(des::kShuffleSlotCount, max_delay));
-  const SboxWindow widest = des_round1_sbox_window(padded, sbox);
+  const sim::SymbolPoke padded = des::nop_schedule_poke(
+      std::vector<std::uint32_t>(des::kShuffleSlotCount, max_delay));
+  const SboxWindow widest = sbox_window(program, sbox, &padded);
   if (!widest.valid()) return SboxWindow{};
   return SboxWindow{zero.begin, widest.end};
 }

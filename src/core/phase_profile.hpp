@@ -27,11 +27,13 @@ struct PhaseEnergy {
   }
 };
 
-/// Profiles one run of `image` (an instance of pipeline.program()) and
-/// returns per-phase totals, ordered by first instruction index.  Bubble
-/// and stall cycles attribute to the phase of the most recent retirement.
+/// Profiles the cold run of `input` on `pipeline` — same pokes, same
+/// energy model (hiding included) as MaskingPipeline::run, so the phase
+/// energies sum to that run's total — and returns per-phase totals,
+/// ordered by first instruction index.  Bubble and stall cycles attribute
+/// to the phase of the most recent retirement.
 [[nodiscard]] std::vector<PhaseEnergy> profile_phases(
-    const MaskingPipeline& pipeline, const assembler::Program& image);
+    const MaskingPipeline& pipeline, const BatchInput& input = {});
 
 /// Round-1 cycle window [begin, end) of one DES S-box (0..7), located via
 /// the retire cycles of the assembly generator's `sbox_loop` /

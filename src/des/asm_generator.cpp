@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "des/tables.hpp"
@@ -33,38 +34,6 @@ void emit_bit_words(std::ostringstream& os, const char* label,
     if (i % 16 == 15) os << '\n';
   }
 }
-
-// Writes one word of a block either into an assembled program's initial
-// data image or into a live simulator memory — the two places inputs are
-// poked (before a run, or into a fork's copy-on-write memory).
-void put_word(assembler::Program& image, std::uint32_t address,
-              std::uint32_t value) {
-  image.poke_word(address, value);
-}
-void put_word(sim::DataMemory& memory, std::uint32_t address,
-              std::uint32_t value) {
-  memory.store_word(address, value);
-}
-
-/// Writes `block` MSB first as the 64 bit-words of `symbol`; throws
-/// std::invalid_argument(`missing`) when the program has no such symbol.
-template <typename Image>
-void poke_block(Image& image, const assembler::Program& program,
-                const char* symbol, std::uint64_t block, const char* missing) {
-  const assembler::DataSymbol* s = program.find_symbol(symbol);
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(missing);
-  }
-  for (unsigned i = 0; i < 64; ++i) {
-    put_word(image, s->address + i * 4,
-             static_cast<std::uint32_t>(util::bit_of64(block, 63 - i)));
-  }
-}
-
-constexpr const char* kNoKey = "poke_key: no key symbol";
-constexpr const char* kNoPlain = "poke_plaintext: no plain symbol";
-constexpr const char* kNoIv =
-    "poke_iv: program has no iv symbol (generate with cbc_chain)";
 
 // The program text reproduces the *shape* of the paper's compiled code
 // (Fig. 4): unoptimized output with memory-resident locals.  Every loop
@@ -612,31 +581,12 @@ std::string generate_des_asm(std::uint64_t key, std::uint64_t plaintext,
   return os.str();
 }
 
-void poke_key(assembler::Program& program, std::uint64_t key) {
-  poke_block(program, program, "key", key, kNoKey);
-}
-
-void poke_key(sim::DataMemory& memory, const assembler::Program& program,
-              std::uint64_t key) {
-  poke_block(memory, program, "key", key, kNoKey);
-}
-
-void poke_plaintext(assembler::Program& program, std::uint64_t plaintext) {
-  poke_block(program, program, "plain", plaintext, kNoPlain);
-}
-
-void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
-                    std::uint64_t plaintext) {
-  poke_block(memory, program, "plain", plaintext, kNoPlain);
-}
-
-void poke_iv(assembler::Program& program, std::uint64_t iv) {
-  poke_block(program, program, "iv", iv, kNoIv);
-}
-
-void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
-             std::uint64_t iv) {
-  poke_block(memory, program, "iv", iv, kNoIv);
+sim::SymbolPoke block_poke(std::string symbol, std::uint64_t block) {
+  sim::SymbolPoke poke{std::move(symbol), std::vector<std::uint32_t>(64)};
+  for (unsigned i = 0; i < 64; ++i) {
+    poke.words[i] = static_cast<std::uint32_t>(util::bit_of64(block, 63 - i));
+  }
+  return poke;
 }
 
 bool has_iv_symbol(const assembler::Program& program) {
@@ -644,44 +594,8 @@ bool has_iv_symbol(const assembler::Program& program) {
   return s != nullptr && s->size_bytes >= 64 * 4;
 }
 
-namespace {
-
-const assembler::DataSymbol* nop_table_symbol(
-    const assembler::Program& program, const std::vector<std::uint32_t>& delays) {
-  if (delays.size() != kShuffleSlotCount) {
-    throw std::invalid_argument(
-        "poke_nop_schedule: expected " + std::to_string(kShuffleSlotCount) +
-        " delay slots, got " + std::to_string(delays.size()));
-  }
-  const assembler::DataSymbol* s = program.find_symbol("nop_tab");
-  if (s == nullptr || s->size_bytes < kShuffleSlotCount * 4) {
-    throw std::invalid_argument(
-        "poke_nop_schedule: program has no nop_tab symbol (generate with "
-        "shuffle_slots)");
-  }
-  return s;
-}
-
-template <typename Image>
-void poke_delays(Image& image, const assembler::Program& program,
-                 const std::vector<std::uint32_t>& delays) {
-  const assembler::DataSymbol* s = nop_table_symbol(program, delays);
-  for (std::size_t i = 0; i < kShuffleSlotCount; ++i) {
-    put_word(image, s->address + static_cast<std::uint32_t>(i) * 4, delays[i]);
-  }
-}
-
-}  // namespace
-
-void poke_nop_schedule(assembler::Program& program,
-                       const std::vector<std::uint32_t>& delays) {
-  poke_delays(program, program, delays);
-}
-
-void poke_nop_schedule(sim::DataMemory& memory,
-                       const assembler::Program& program,
-                       const std::vector<std::uint32_t>& delays) {
-  poke_delays(memory, program, delays);
+sim::SymbolPoke nop_schedule_poke(std::vector<std::uint32_t> delays) {
+  return sim::SymbolPoke{"nop_tab", std::move(delays)};
 }
 
 bool has_nop_table(const assembler::Program& program) {

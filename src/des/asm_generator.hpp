@@ -48,7 +48,7 @@ struct DesAsmOptions {
   /// `nop_tab` data table (kShuffleSlotCount public words, zero by
   /// default) and data-driven delay loops that spin `nop_tab[m]` times at
   /// the top of round m and `nop_tab[16 + s]` times before S-box s in
-  /// every round.  Poking a fresh per-trace schedule (poke_nop_schedule)
+  /// every round.  Poking a fresh per-trace schedule (nop_schedule_poke)
   /// desynchronizes the cycle axis across traces without changing the
   /// program text, the architectural result, or (for zero delays) the
   /// trace itself.  The slots read only public data, so no masking policy
@@ -56,7 +56,7 @@ struct DesAsmOptions {
   /// without it.
   bool shuffle_slots = false;
   /// CBC chaining on the device: the program grows an `iv` data symbol (64
-  /// bit-words, poked per block via poke_iv).  Encryption XORs the chaining
+  /// bit-words, poked per block via block_poke).  Encryption XORs the chaining
   /// value into `plain` before the initial permutation; decryption XORs it
   /// into `cipher` after the output permutation.  Both sides of the XOR are
   /// public (the chaining value is the previous ciphertext), so the loop
@@ -72,26 +72,13 @@ struct DesAsmOptions {
                                            std::uint64_t plaintext,
                                            const DesAsmOptions& options = {});
 
-/// Replaces the 64 bit-words of `key` / `plain` in an assembled program
-/// image (so one assembly + compilation can serve many runs).
-void poke_key(assembler::Program& program, std::uint64_t key);
-void poke_plaintext(assembler::Program& program, std::uint64_t plaintext);
-
-/// Pokes directly into a live simulator memory built from `program`'s image:
-/// a cold run pokes its inputs before the first step instead of copying the
-/// program, and the snapshot/fork path pokes after the fork point, where
-/// the program image can no longer seed the machine.
-void poke_key(sim::DataMemory& memory, const assembler::Program& program,
-              std::uint64_t key);
-void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
-                    std::uint64_t plaintext);
-
-/// Replaces the 64 bit-words of the `iv` symbol (cbc_chain programs only;
-/// throws std::invalid_argument when the program was generated without
-/// cbc_chain).  Same program-image / live-memory split as poke_plaintext.
-void poke_iv(assembler::Program& program, std::uint64_t iv);
-void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
-             std::uint64_t iv);
+/// The 64 bit-words of `block`, MSB first, as a poke of the `key`, `plain`
+/// or (cbc_chain programs) `iv` symbol, so one assembly + compilation
+/// serves many runs.  Cold runs apply it before the first step; forked
+/// runs apply it after the fork point, where the program image can no
+/// longer seed the machine.
+[[nodiscard]] sim::SymbolPoke block_poke(std::string symbol,
+                                         std::uint64_t block);
 
 /// True when the program carries the cbc_chain `iv` symbol.
 [[nodiscard]] bool has_iv_symbol(const assembler::Program& program);
@@ -101,15 +88,10 @@ void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
 /// round).
 inline constexpr std::size_t kShuffleSlotCount = 24;
 
-/// Replaces the `nop_tab` delay schedule (shuffle_slots programs only;
-/// throws std::invalid_argument when the program was generated without
-/// shuffle_slots or `delays` is not kShuffleSlotCount entries).  Same
-/// program-image / live-memory split as poke_plaintext.
-void poke_nop_schedule(assembler::Program& program,
-                       const std::vector<std::uint32_t>& delays);
-void poke_nop_schedule(sim::DataMemory& memory,
-                       const assembler::Program& program,
-                       const std::vector<std::uint32_t>& delays);
+/// A `nop_tab` delay schedule (shuffle_slots programs) as a poke: one
+/// delay per slot.
+[[nodiscard]] sim::SymbolPoke nop_schedule_poke(
+    std::vector<std::uint32_t> delays);
 
 /// True when the program carries the shuffle_slots `nop_tab` symbol.
 [[nodiscard]] bool has_nop_table(const assembler::Program& program);

@@ -6,17 +6,6 @@
 namespace emask::sha {
 namespace {
 
-void poke_words(assembler::Program& program, const char* symbol,
-                const std::uint32_t* words, unsigned count) {
-  const assembler::DataSymbol* s = program.find_symbol(symbol);
-  if (s == nullptr || s->size_bytes < count * 4) {
-    throw std::invalid_argument(std::string("sha: no symbol ") + symbol);
-  }
-  for (unsigned i = 0; i < count; ++i) {
-    program.poke_word(s->address + i * 4, words[i]);
-  }
-}
-
 /// Emits "rd = rotl(rsrc, n)" using the securable shift/or sequence.
 void emit_rotl(std::ostringstream& os, const char* rd, const char* rsrc,
                int n) {
@@ -175,9 +164,8 @@ std::string generate_sha1_asm(const std::array<std::uint32_t, 16>& block,
   return os.str();
 }
 
-void poke_message(assembler::Program& program,
-                  const std::array<std::uint32_t, 16>& block) {
-  poke_words(program, "msg", block.data(), 16);
+sim::SymbolPoke message_poke(const std::array<std::uint32_t, 16>& block) {
+  return sim::SymbolPoke{"msg", {block.begin(), block.end()}};
 }
 
 std::array<std::uint32_t, 5> read_digest(const sim::DataMemory& memory,

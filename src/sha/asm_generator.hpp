@@ -27,9 +27,10 @@ struct Sha1AsmOptions {
     const std::array<std::uint32_t, 16>& block,
     const Sha1AsmOptions& options = {});
 
-/// Replaces the 16 message words in an assembled program image.
-void poke_message(assembler::Program& program,
-                  const std::array<std::uint32_t, 16>& block);
+/// The 16 message words as a poke of the `msg` symbol, so one assembly +
+/// compilation serves many runs.
+[[nodiscard]] sim::SymbolPoke message_poke(
+    const std::array<std::uint32_t, 16>& block);
 
 /// Reads the five digest words from simulated memory.
 [[nodiscard]] std::array<std::uint32_t, 5> read_digest(

@@ -62,4 +62,23 @@ bool DataMemory::shares_page_with(const DataMemory& other,
   return pages_[index].get() == other.pages_[index].get();
 }
 
+void poke_symbol(DataMemory& memory, const assembler::Program& program,
+                 const SymbolPoke& poke) {
+  const assembler::DataSymbol* s = program.find_symbol(poke.symbol);
+  if (s == nullptr) {
+    throw std::invalid_argument("poke: program has no data symbol '" +
+                                poke.symbol + "'");
+  }
+  if (poke.words.size() > s->size_bytes / 4) {
+    throw std::invalid_argument(
+        "poke: symbol '" + poke.symbol + "' holds " +
+        std::to_string(s->size_bytes / 4) + " words, not " +
+        std::to_string(poke.words.size()));
+  }
+  for (std::size_t i = 0; i < poke.words.size(); ++i) {
+    memory.store_word(s->address + static_cast<std::uint32_t>(i) * 4,
+                      poke.words[i]);
+  }
+}
+
 }  // namespace emask::sim

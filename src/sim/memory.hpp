@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "assembler/program.hpp"
@@ -98,5 +99,18 @@ class DataMemory {
   std::size_t size_ = 0;  // logical size in bytes (last page may be partial)
   std::vector<std::shared_ptr<Page>> pages_;
 };
+
+/// Words to write into one data symbol, from its first word on: a device's
+/// per-run input (a DES bit-word block, an AES block, a SHA-1 message).
+struct SymbolPoke {
+  std::string symbol;
+  std::vector<std::uint32_t> words;
+};
+
+/// Writes `poke` into `memory`, a memory built from `program`'s image.
+/// Throws std::invalid_argument naming the symbol when `program` declares
+/// no such data symbol or the symbol holds fewer words than the poke.
+void poke_symbol(DataMemory& memory, const assembler::Program& program,
+                 const SymbolPoke& poke);
 
 }  // namespace emask::sim

@@ -140,20 +140,17 @@ TEST(AesOnPipeline, MaskingFlattensKeyDifferential) {
       generate_aes_asm(seq_key(), fips_plain()), compiler::Policy::kSelective);
   Key key2 = seq_key();
   key2[5] ^= 0x20;
-  assembler::Program image2 = masked.program();
-  poke_key(image2, key2);
-  const auto d =
-      masked.run_raw().trace.difference(masked.run_image(image2).trace);
+  core::BatchInput input2;
+  input2.pokes = {key_poke(key2)};
+  const auto d = masked.run({}).trace.difference(masked.run({input2}).trace);
   // Flat everywhere except the final output loop (public ciphertext).
   const auto body = d.slice(0, d.size() - 400);
   EXPECT_EQ(body.max_abs(), 0.0);
 
   const auto original = core::MaskingPipeline::from_source(
       generate_aes_asm(seq_key(), fips_plain()), compiler::Policy::kOriginal);
-  assembler::Program image2o = original.program();
-  poke_key(image2o, key2);
   const auto d_orig =
-      original.run_raw().trace.difference(original.run_image(image2o).trace);
+      original.run({}).trace.difference(original.run({input2}).trace);
   EXPECT_GT(d_orig.slice(0, d_orig.size() - 400).max_abs(), 0.0);
 }
 

@@ -278,31 +278,8 @@ TEST(BatchRunnerSnapshot, StopBeforeForkPointFallsBackCold) {
   EXPECT_EQ(runner.stats().cold_starts, 3u);
 }
 
-// A custom run_function bypasses snapshotting cleanly under kAuto...
-TEST(BatchRunnerSnapshot, RunFunctionBypassesSnapshotting) {
-  BatchConfig bc = full_config(2, SnapshotMode::kAuto);
-  bc.run_function = [](const MaskingPipeline& dev, const BatchInput& in) {
-    return dev.run_des(in.key, in.plaintext);
-  };
-  BatchRunner runner(forkable_device(), bc);
-  const analysis::TraceSet set =
-      runner.capture(3, random_plaintexts(kKey, kSeed));
-  ASSERT_EQ(set.size(), 3u);
-  EXPECT_EQ(runner.stats().snapshot_forks, 0u);
-  EXPECT_EQ(runner.stats().cold_starts, 3u);
-  EXPECT_EQ(runner.stats().snapshot_prefix_cycles, 0u);
-}
-
-// ... and fails loudly under kRequire, as does a program with no marker.
+// kRequire fails loudly on a program with no fork marker.
 TEST(BatchRunnerSnapshot, RequireFailsLoudlyWhenItCannotSnapshot) {
-  BatchConfig with_fn = full_config(1, SnapshotMode::kRequire);
-  with_fn.run_function = [](const MaskingPipeline& dev, const BatchInput& in) {
-    return dev.run_des(in.key, in.plaintext);
-  };
-  BatchRunner bad_fn(forkable_device(), with_fn);
-  EXPECT_THROW((void)bad_fn.capture(2, random_plaintexts(kKey, kSeed)),
-               std::logic_error);
-
   BatchRunner no_marker(device(), full_config(1, SnapshotMode::kRequire));
   EXPECT_THROW((void)no_marker.capture(2, random_plaintexts(kKey, kSeed)),
                std::logic_error);

@@ -27,10 +27,22 @@ main:
   halt
 )",
                                               compiler::Policy::kOriginal);
-  const EncryptionRun run = p.run_raw();
+  const EncryptionRun run = p.run({});
   EXPECT_TRUE(run.sim.halted);
   EXPECT_GT(run.total_uj(), 0.0);
   EXPECT_EQ(run.trace.size(), run.sim.cycles);
+}
+
+// Every device, not only a DES one, draws its per-run hiding stream from
+// the run's input: one input, one random-precharge stream; two inputs, two.
+TEST(MaskingPipeline, HidingStreamFollowsTheRunInputOnAnyDevice) {
+  const auto p = MaskingPipeline::from_source(
+      "main:\n  li $t0, 7\n  addu $t1, $t0, $t0\n  halt\n",
+      hiding::countermeasure_from_name("random_precharge"));
+  const BatchInput one{0, 1};
+  const BatchInput two{0, 2};
+  EXPECT_EQ(p.run({one}).trace.samples(), p.run({one}).trace.samples());
+  EXPECT_NE(p.run({one}).trace.samples(), p.run({two}).trace.samples());
 }
 
 TEST(MaskingPipeline, BadSourcePropagatesAsmError) {
@@ -91,37 +103,52 @@ TEST(MaskingPipeline, SecureBitsSurviveEncoding) {
   }
 }
 
+// Phase energies come from the run's own energy model, hiding included:
+// under wddl they must sum to the hidden total, not the unhidden one.
 TEST(PhaseProfile, TotalsMatchWholeRunAndCoverEveryCycle) {
-  const auto p = MaskingPipeline::des(compiler::Policy::kSelective);
-  assembler::Program image = p.program();
-  des::poke_key(image, 0x133457799BBCDFF1ull);
-  des::poke_plaintext(image, 0x0123456789ABCDEFull);
-  const auto phases = core::profile_phases(p, image);
-  const EncryptionRun run = p.run_des(0x133457799BBCDFF1ull,
-                                      0x0123456789ABCDEFull);
-  std::uint64_t cycles = 0;
-  double uj = 0.0;
-  for (const auto& phase : phases) {
-    cycles += phase.cycles;
-    uj += phase.energy_uj;
-  }
-  EXPECT_EQ(cycles, run.sim.cycles);
-  EXPECT_NEAR(uj, run.total_uj(), 1e-6);
-  // Phase table covers the whole text contiguously.
-  for (std::size_t i = 1; i < phases.size(); ++i) {
-    EXPECT_EQ(phases[i].begin, phases[i - 1].end);
-  }
-  EXPECT_EQ(phases.back().end, p.program().text.size());
-  // The sixteen-round phases dominate the run.
-  double round_uj = 0.0;
-  for (const auto& phase : phases) {
-    if (phase.label != "ip_loop" && phase.label != "pc1_loop" &&
-        phase.label != "fp_loop" && phase.label != "pre_r" &&
-        phase.label != "pre_l" && phase.label != "main") {
-      round_uj += phase.energy_uj;
+  for (const char* policy : {"selective", "wddl", "random_precharge"}) {
+    SCOPED_TRACE(policy);
+    const auto p =
+        MaskingPipeline::des(hiding::countermeasure_from_name(policy));
+    const auto phases = core::profile_phases(
+        p, {0x133457799BBCDFF1ull, 0x0123456789ABCDEFull});
+    const EncryptionRun run = p.run_des(0x133457799BBCDFF1ull,
+                                        0x0123456789ABCDEFull);
+    std::uint64_t cycles = 0;
+    double uj = 0.0;
+    for (const auto& phase : phases) {
+      cycles += phase.cycles;
+      uj += phase.energy_uj;
     }
+    EXPECT_EQ(cycles, run.sim.cycles);
+    EXPECT_NEAR(uj, run.total_uj(), 1e-6);
+    // Phase table covers the whole text contiguously.
+    for (std::size_t i = 1; i < phases.size(); ++i) {
+      EXPECT_EQ(phases[i].begin, phases[i - 1].end);
+    }
+    EXPECT_EQ(phases.back().end, p.program().text.size());
+    // The sixteen-round phases dominate the run.
+    double round_uj = 0.0;
+    for (const auto& phase : phases) {
+      if (phase.label != "ip_loop" && phase.label != "pc1_loop" &&
+          phase.label != "fp_loop" && phase.label != "pre_r" &&
+          phase.label != "pre_l" && phase.label != "main") {
+        round_uj += phase.energy_uj;
+      }
+    }
+    EXPECT_GT(round_uj / uj, 0.9);
   }
-  EXPECT_GT(round_uj / uj, 0.9);
+}
+
+// Profiling honours the device's cycle budget like run() does, instead of
+// stepping a program that never halts forever.
+TEST(PhaseProfile, NonHaltingProgramHitsTheCycleBudget) {
+  auto p = MaskingPipeline::from_source("main:\n  b main\n  halt\n",
+                                        compiler::Policy::kOriginal);
+  sim::SimConfig config = p.sim_config();
+  config.max_cycles = 1000;
+  p.set_sim_config(config);
+  EXPECT_THROW((void)core::profile_phases(p), std::runtime_error);
 }
 
 TEST(MaskingPipeline, PolicyAccessorsConsistent) {
@@ -234,9 +261,39 @@ TEST(SnapshotFork, ForeignSnapshotRejected) {
 }
 
 // Cold runs poke their inputs into the run's memory instead of copying the
-// program.  The old path — poke a copy of the program image, simulate it —
-// survives as run_image and is the oracle: every output must match it bit
-// for bit, full-length and windowed.
+// program.  The old path — poke a copy of the program image, then simulate
+// it on a machine and energy model of its own — is the oracle: every
+// output of run() must match it bit for bit, full-length and windowed.
+EncryptionRun run_poked_image(const MaskingPipeline& p,
+                              const std::vector<sim::SymbolPoke>& pokes,
+                              std::uint64_t stop_after_cycles = 0) {
+  assembler::Program image = p.program();
+  for (const sim::SymbolPoke& poke : pokes) {
+    const assembler::DataSymbol* s = image.find_symbol(poke.symbol);
+    for (std::size_t i = 0; i < poke.words.size(); ++i) {
+      image.poke_word(s->address + static_cast<std::uint32_t>(i) * 4,
+                      poke.words[i]);
+    }
+  }
+  sim::Pipeline machine(image, p.sim_config());
+  energy::ProcessorEnergyModel model(p.params());
+  EncryptionRun run;
+  if (stop_after_cycles == 0) {
+    run.sim = machine.run([&](const energy::CycleActivity& a) {
+      run.trace.push(model.cycle(a) * 1e12);
+    });
+    run.cipher = des::read_cipher(machine.memory(), image);
+  } else {
+    energy::CycleActivity a;
+    while (machine.cycles() < stop_after_cycles && machine.step(a)) {
+      run.trace.push(model.cycle(a) * 1e12);
+    }
+    run.sim = machine.result();
+  }
+  run.breakdown = model.breakdown();
+  return run;
+}
+
 void expect_same_run(const EncryptionRun& a, const EncryptionRun& b) {
   EXPECT_EQ(a.trace.samples(), b.trace.samples());
   for (std::size_t c = 0; c < energy::kNumComponents; ++c) {
@@ -256,12 +313,13 @@ TEST(ColdRun, RunDesMatchesPokedProgramCopy) {
   for (const auto policy :
        {compiler::Policy::kOriginal, compiler::Policy::kSelective}) {
     const auto p = MaskingPipeline::des(policy);
-    assembler::Program image = p.program();
-    des::poke_key(image, kKey);
-    des::poke_plaintext(image, kPlain);
     for (const std::uint64_t stop : {std::uint64_t{0}, std::uint64_t{3000}}) {
       SCOPED_TRACE(stop);
-      expect_same_run(p.run_des(kKey, kPlain, stop), p.run_image(image, stop));
+      expect_same_run(p.run_des(kKey, kPlain, stop),
+                      run_poked_image(p,
+                                      {des::block_poke("key", kKey),
+                                       des::block_poke("plain", kPlain)},
+                                      stop));
     }
   }
 }
@@ -273,12 +331,10 @@ TEST(ColdRun, RunDesCbcMatchesPokedProgramCopy) {
                                       energy::TechParams::smartcard_025um(),
                                       options);
   const std::uint64_t iv = 0xA5A5F00D12345678ull;
-  assembler::Program image = p.program();
-  des::poke_key(image, kKey);
-  des::poke_plaintext(image, kPlain);
-  des::poke_iv(image, iv);
-  const EncryptionRun run = p.run_des_cbc(kKey, kPlain, iv);
-  expect_same_run(run, p.run_image(image));
+  const EncryptionRun run = p.run({{kKey, kPlain, iv}});
+  expect_same_run(run, run_poked_image(p, {des::block_poke("key", kKey),
+                                           des::block_poke("plain", kPlain),
+                                           des::block_poke("iv", iv)}));
   EXPECT_EQ(run.cipher, des::encrypt_block(kPlain ^ iv, kKey));
 }
 
@@ -286,21 +342,44 @@ TEST(ColdRun, ShuffleNopMatchesPokedProgramCopy) {
   const auto p = MaskingPipeline::des(hiding::Countermeasure{
       compiler::Policy::kOriginal, hiding::HidingPolicy::kShuffleNop});
   for (const std::uint64_t pt : {kPlain, ~kPlain}) {
-    assembler::Program image = p.program();
-    des::poke_key(image, kKey);
-    des::poke_plaintext(image, pt);
-    des::poke_nop_schedule(
-        image, MaskingPipeline::shuffle_schedule(p.run_hiding_seed(pt)));
-    expect_same_run(p.run_des(kKey, pt), p.run_image(image));
+    const std::vector<std::uint32_t> delays =
+        MaskingPipeline::shuffle_schedule(p.run_hiding_seed(pt));
+    expect_same_run(p.run_des(kKey, pt),
+                    run_poked_image(p, {des::block_poke("key", kKey),
+                                        des::block_poke("plain", pt),
+                                        des::nop_schedule_poke(delays)}));
   }
 }
 
-// run_image borrows the device's pre-decoded text, so an image whose text
-// is not the device's is refused rather than run against the wrong table.
-TEST(ColdRun, RunImageOfAnotherTextSizeThrows) {
-  const auto p = MaskingPipeline::des(compiler::Policy::kOriginal);
-  const assembler::Program other = assembler::assemble("main:\n  halt\n");
-  EXPECT_THROW((void)p.run_image(other), std::invalid_argument);
+// Every poke goes through one helper, which names the symbol it cannot
+// write: a missing symbol, or more words than the symbol holds — on a cold
+// start and on a fork alike.
+TEST(SymbolPoke, BadPokeNamesTheSymbolColdAndForked) {
+  const MaskingPipeline& p = forkable(compiler::Policy::kOriginal);
+  const DesSnapshot snap = p.snapshot_des(kKey);
+  BatchInput partial{kKey, kPlain};
+  partial.pokes = {{"plain", {1}}};  // fewer words than the symbol: fine
+  const std::uint64_t stop = snap.fork_cycle + 10;
+  EXPECT_FALSE(p.run({partial, nullptr, stop}).forked);
+  EXPECT_TRUE(p.run({partial, &snap, stop}).forked);
+  for (const sim::SymbolPoke& bad :
+       {sim::SymbolPoke{"no_such_symbol", {1}},
+        sim::SymbolPoke{"plain", std::vector<std::uint32_t>(65, 0)}}) {
+    BatchInput input{kKey, kPlain};
+    input.pokes = {bad};
+    for (const DesSnapshot* from : {static_cast<const DesSnapshot*>(nullptr),
+                                    &snap}) {
+      SCOPED_TRACE(bad.symbol + (from ? " forked" : " cold"));
+      try {
+        (void)p.run({input, from, stop});
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + bad.symbol + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

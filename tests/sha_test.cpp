@@ -62,7 +62,7 @@ TEST_P(ShaPolicyTest, CorrectUnderEveryPolicy) {
   const auto block = random_block(rng);
   const auto pipeline = core::MaskingPipeline::from_source(
       generate_sha1_asm(block), GetParam());
-  const auto run = pipeline.run_raw();
+  const auto run = pipeline.run({});
   EXPECT_TRUE(run.sim.halted);
   sim::Pipeline machine(pipeline.program());
   machine.run();
@@ -107,20 +107,17 @@ TEST(Sha1OnPipeline, MaskingFlattensMessageDifferential) {
 
   const auto masked = core::MaskingPipeline::from_source(
       generate_sha1_asm(block1), compiler::Policy::kSelective);
-  assembler::Program image2 = masked.program();
-  poke_message(image2, block2);
-  const auto d = masked.run_raw().trace.difference(
-      masked.run_image(image2).trace);
+  core::BatchInput input2;
+  input2.pokes = {message_poke(block2)};
+  const auto d = masked.run({}).trace.difference(masked.run({input2}).trace);
   // Everything up to the declassified digest store is flat.
   const auto body = d.slice(0, d.size() - 100);
   EXPECT_EQ(body.max_abs(), 0.0);
 
   const auto original = core::MaskingPipeline::from_source(
       generate_sha1_asm(block1), compiler::Policy::kOriginal);
-  assembler::Program image2o = original.program();
-  poke_message(image2o, block2);
-  const auto d_orig = original.run_raw().trace.difference(
-      original.run_image(image2o).trace);
+  const auto d_orig =
+      original.run({}).trace.difference(original.run({input2}).trace);
   EXPECT_GT(d_orig.slice(0, d_orig.size() - 100).max_abs(), 0.0);
 }
 

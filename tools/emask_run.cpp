@@ -59,8 +59,11 @@ int main(int argc, char** argv) {
   try {
     const hiding::Countermeasure policy = tools::to_countermeasure(policy_name);
     const energy::TechParams params = tools::tech_params(coupling_ff);
-    const auto pipeline =
+    auto pipeline =
         core::MaskingPipeline::from_source(buffer.str(), policy, params);
+    sim::SimConfig config = pipeline.sim_config();
+    config.max_cycles = max_cycles;
+    pipeline.set_sim_config(config);
 
     const auto& mr = pipeline.mask_result();
     std::printf("policy    : %s\n", policy.name().c_str());
@@ -77,17 +80,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    sim::SimConfig config;
-    config.max_cycles = max_cycles;
-    // run_raw with a custom budget: replicate the core loop here so the CLI
-    // can honour --max-cycles.
-    sim::Pipeline machine(pipeline.program(), config);
-    energy::ProcessorEnergyModel model(params);
-    analysis::Trace trace;
-    const sim::SimResult result =
-        machine.run([&](const energy::CycleActivity& a) {
-          trace.push(model.cycle(a) * 1e12);
-        });
+    const core::EncryptionRun run = pipeline.run({});
+    const sim::SimResult& result = run.sim;
+    const analysis::Trace& trace = run.trace;
 
     std::printf("cycles    : %llu (%llu instructions, CPI %.3f, %llu "
                 "stalls, %llu flushes)\n",
@@ -104,14 +99,14 @@ int main(int argc, char** argv) {
         const auto comp = static_cast<energy::Component>(c);
         std::printf("%-14s %12.4f\n",
                     std::string(energy::component_name(comp)).c_str(),
-                    model.breakdown().get(comp) * 1e6);
+                    run.breakdown.get(comp) * 1e6);
       }
     }
     if (phases) {
       std::printf("\n%-16s %10s %12s %12s\n", "phase", "cycles",
                   "energy (uJ)", "pJ/cycle");
       for (const core::PhaseEnergy& p :
-           core::profile_phases(pipeline, pipeline.program())) {
+           core::profile_phases(pipeline)) {
         if (p.cycles == 0) continue;
         std::printf("%-16s %10llu %12.4f %12.1f\n", p.label.c_str(),
                     static_cast<unsigned long long>(p.cycles), p.energy_uj,
