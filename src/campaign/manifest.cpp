@@ -1,20 +1,18 @@
 #include "campaign/manifest.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
-#include "util/argparse.hpp"
 #include "util/csv.hpp"
-#include "util/ini.hpp"
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 
 namespace emask::campaign {
 namespace {
 
-using util::ArgParser;
-using util::IniFile;
+namespace fs = std::filesystem;
 using util::JsonWriter;
 
 std::string hex_u64(std::uint64_t v) {
@@ -27,13 +25,15 @@ std::string hex_u64(std::uint64_t v) {
 }  // namespace
 
 std::vector<PolicyRollup> rollup_by_policy(
-    const CampaignSpec& spec, const std::vector<ScenarioOutcome>& outcomes) {
-  bool any_energy = false;
-  for (const ScenarioOutcome& o : outcomes) {
-    if (o.scenario.analysis == Analysis::kEnergy) any_energy = true;
-  }
+    const std::vector<hiding::Countermeasure>& policies,
+    const std::vector<std::pair<std::string, double>>& references,
+    const std::vector<ScenarioOutcome>& outcomes) {
+  const bool any_energy =
+      std::any_of(outcomes.begin(), outcomes.end(), [](const auto& o) {
+        return o.scenario.analysis == Analysis::kEnergy;
+      });
   std::vector<PolicyRollup> rollups;
-  for (const hiding::Countermeasure& policy : spec.policies) {
+  for (const hiding::Countermeasure& policy : policies) {
     PolicyRollup r;
     r.policy = policy;
     double sum = 0.0;
@@ -45,17 +45,26 @@ std::vector<PolicyRollup> rollup_by_policy(
     }
     if (r.scenarios > 0) sum /= static_cast<double>(r.scenarios);
     r.mean_uj = sum;
+    const auto ref = std::find_if(
+        references.begin(), references.end(),
+        [&](const auto& entry) { return entry.first == policy.name(); });
+    r.has_reference = ref != references.end();
+    if (r.has_reference) r.paper_uj = ref->second;
     rollups.push_back(r);
   }
-  return rollups;
-}
-
-const double* find_reference(const CampaignSpec& spec,
-                             const hiding::Countermeasure& policy) {
-  for (const auto& [name, uj] : spec.reference_uj) {
-    if (name == policy.name()) return &uj;
+  if (rollups.empty()) return rollups;
+  const PolicyRollup base = rollups.front();
+  const bool on_paper_scale = base.has_reference && base.paper_uj > 0.0;
+  for (PolicyRollup& r : rollups) {
+    // A zero baseline (no energy data for the first policy, or a NaN mean
+    // poisoning it) leaves the ratio undefined.
+    if (base.mean_uj > 0.0) r.ratio = r.mean_uj / base.mean_uj;
+    r.on_paper_scale = on_paper_scale;
+    if (!on_paper_scale) continue;
+    if (r.has_reference) r.paper_ratio = r.paper_uj / base.paper_uj;
+    r.normalized_uj = r.ratio * base.paper_uj;
   }
-  return nullptr;
+  return rollups;
 }
 
 std::string_view analysis_artifact(Analysis a) {
@@ -85,10 +94,6 @@ std::string scenario_disclosure_path(const std::string& id) {
   return "scenarios/" + id + "/disclosure.csv";
 }
 
-std::string scenario_result_path(const std::string& id) {
-  return "scenarios/" + id + "/result.csv";
-}
-
 std::string scenario_artifact_path(const std::string& id, Analysis a) {
   return "scenarios/" + id + "/" + std::string(analysis_artifact(a));
 }
@@ -103,79 +108,46 @@ std::string scenario_session_path(const std::string& id) {
 
 void save_checkpoint(const std::string& path, const Scenario& scenario,
                      const ScenarioResult& result,
-                     const std::string& spec_hash) {
+                     const std::string& guard_hash) {
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream out(tmp);
-    if (!out) throw std::runtime_error("cannot write checkpoint " + tmp);
-    const auto d = [](double v) { return JsonWriter::format_double(v); };
-    out << "[checkpoint]\n";
-    out << "id = " << scenario.id << '\n';
-    out << "spec_hash = " << spec_hash << '\n';
-    out << "encryptions = " << result.encryptions << '\n';
-    out << "total_cycles = " << result.total_cycles << '\n';
-    out << "total_instructions = " << result.total_instructions << '\n';
-    out << "total_energy_uj = " << d(result.total_energy_uj) << '\n';
-    out << "secured_count = " << result.secured_count << '\n';
-    out << "program_instructions = " << result.program_instructions << '\n';
-    out << "metric = " << d(result.metric) << '\n';
-    out << "best_guess = " << result.best_guess << '\n';
-    out << "true_value = " << result.true_value << '\n';
-    out << "success = " << (result.success ? 1 : 0) << '\n';
-    out << "margin = " << d(result.margin) << '\n';
-    out << "cycles_over_threshold = " << result.cycles_over_threshold << '\n';
-    out << "wall_seconds = " << d(result.wall_seconds) << '\n';
-    out << "threads_used = " << result.threads_used << '\n';
-    out.flush();
-    if (!out) throw std::runtime_error("write failure on " + tmp);
+    std::ofstream out = util::open_for_write(tmp);
+    JsonWriter j(out);
+    j.begin_object();
+    j.key("id");
+    j.value(scenario.id);
+    j.key("guard_hash");
+    j.value(guard_hash);
+    j.key("result");
+    write_result(j, result);
+    j.key("wall_seconds");
+    j.value(result.wall_seconds);
+    j.key("threads_used");
+    j.value(result.threads_used);
+    j.end_object();
+    j.finish();
+    util::close_or_throw(out, tmp);
   }
-  std::filesystem::rename(tmp, path);
+  fs::rename(tmp, path);
 }
 
 bool load_checkpoint(const std::string& path, const Scenario& scenario,
-                     const std::string& spec_hash, ScenarioResult* out) {
-  if (!std::filesystem::exists(path)) return false;
-  const IniFile ini = IniFile::load_file(path);
-  const IniFile::Section* cp = ini.find_section("checkpoint");
-  if (cp == nullptr) {
-    throw std::runtime_error(path + ": not a checkpoint file");
-  }
-  const auto get = [&](const char* key) -> const std::string& {
-    const IniFile::Entry* e = cp->find(key);
-    if (e == nullptr) {
-      throw std::runtime_error(path + ": missing checkpoint key '" +
-                               std::string(key) + "'");
+                     const std::string& guard_hash, ScenarioResult* out) {
+  if (!fs::exists(path)) return false;
+  try {
+    const util::JsonValue doc = util::parse_json(util::read_text_file(path));
+    if (doc.at("id").as_string() != scenario.id ||
+        doc.at("guard_hash").as_string() != guard_hash) {
+      return false;  // stale: different spec, partition or matrix
     }
-    return e->value;
-  };
-  if (get("id") != scenario.id || get("spec_hash") != spec_hash) {
-    return false;  // stale: different spec or renumbered matrix
+    ScenarioResult r = scenario_result_from_json(doc.at("result"));
+    r.wall_seconds = doc.at("wall_seconds").as_double();
+    r.threads_used = doc.at("threads_used").as_u64();
+    *out = r;
+    return true;
+  } catch (const util::JsonError& e) {
+    throw util::JsonError(path + ": " + e.what());
   }
-  ScenarioResult r;
-  r.encryptions = ArgParser::parse_u64(get("encryptions"), "encryptions");
-  r.total_cycles = ArgParser::parse_u64(get("total_cycles"), "total_cycles");
-  r.total_instructions =
-      ArgParser::parse_u64(get("total_instructions"), "total_instructions");
-  r.total_energy_uj =
-      ArgParser::parse_double(get("total_energy_uj"), "total_energy_uj");
-  r.secured_count =
-      ArgParser::parse_u64(get("secured_count"), "secured_count");
-  r.program_instructions = ArgParser::parse_u64(get("program_instructions"),
-                                                "program_instructions");
-  r.metric = ArgParser::parse_double(get("metric"), "metric");
-  r.best_guess =
-      static_cast<int>(ArgParser::parse_int(get("best_guess"), "best_guess"));
-  r.true_value =
-      static_cast<int>(ArgParser::parse_int(get("true_value"), "true_value"));
-  r.success = get("success") == "1";
-  r.margin = ArgParser::parse_double(get("margin"), "margin");
-  r.cycles_over_threshold = ArgParser::parse_u64(get("cycles_over_threshold"),
-                                                 "cycles_over_threshold");
-  r.wall_seconds =
-      ArgParser::parse_double(get("wall_seconds"), "wall_seconds");
-  r.threads_used = ArgParser::parse_u64(get("threads_used"), "threads_used");
-  *out = r;
-  return true;
 }
 
 std::string git_describe() {
@@ -197,24 +169,22 @@ std::string git_describe() {
 
 void write_manifest(const std::string& path, const CampaignSpec& spec,
                     const std::vector<ScenarioOutcome>& outcomes,
-                    const std::string& git_version, const ShardSpec* shard) {
-  const bool sharded = shard != nullptr && shard->sharded();
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot write manifest " + path);
+                    const std::string& git_version, const ShardSpec& shard) {
+  const bool sharded = shard.sharded();
+  std::ofstream file = util::open_for_write(path);
   JsonWriter j(file);
   j.begin_object();
   j.key("format");
-  j.value(sharded ? "emask-campaign-shard-manifest-v1"
-                  : "emask-campaign-manifest-v1");
+  j.value(sharded ? kShardManifestFormat : kManifestFormat);
   j.key("campaign");
   j.value(spec.name);
   j.key("spec_hash");
   j.value(spec.hash);
   if (sharded) {
     j.key("shard_index");
-    j.value(static_cast<std::uint64_t>(shard->index));
+    j.value(static_cast<std::uint64_t>(shard.index));
     j.key("shard_count");
-    j.value(static_cast<std::uint64_t>(shard->count));
+    j.value(static_cast<std::uint64_t>(shard.count));
   }
   j.key("generator");
   j.value(git_version);
@@ -241,7 +211,7 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
   j.key("window_end");
   j.value(static_cast<std::uint64_t>(spec.window_end));
   j.key("timings");  // wall-clock lives there, outside byte-identity
-  j.value(sharded ? "timings." + shard->label() + ".json" : "timings.json");
+  j.value(timings_name(shard));
   j.key("scenario_count");
   j.value(static_cast<std::uint64_t>(outcomes.size()));
 
@@ -249,7 +219,6 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
   j.begin_array();
   for (const ScenarioOutcome& o : outcomes) {
     const Scenario& s = o.scenario;
-    const ScenarioResult& r = o.result;
     j.begin_object();
     j.key("id");
     j.value(s.id);
@@ -272,34 +241,7 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
     j.key("seed");
     j.value(hex_u64(s.seed));
     j.key("result");
-    j.begin_object();
-    j.key("encryptions");
-    j.value(r.encryptions);
-    j.key("total_cycles");
-    j.value(r.total_cycles);
-    j.key("total_instructions");
-    j.value(r.total_instructions);
-    j.key("total_energy_uj");
-    j.value(r.total_energy_uj);
-    j.key("mean_uj");
-    j.value(r.mean_uj());
-    j.key("secured_count");
-    j.value(r.secured_count);
-    j.key("program_instructions");
-    j.value(r.program_instructions);
-    j.key("metric");
-    j.value(r.metric);
-    j.key("best_guess");
-    j.value(r.best_guess);
-    j.key("true_value");
-    j.value(r.true_value);
-    j.key("success");
-    j.value(r.success);
-    j.key("margin");
-    j.value(r.margin);
-    j.key("cycles_over_threshold");
-    j.value(r.cycles_over_threshold);
-    j.end_object();
+    write_result(j, o.result);
     j.end_object();
   }
   j.end_array();
@@ -320,13 +262,10 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
   j.value(total_cycles);
   j.key("total_energy_uj");
   j.value(total_energy_uj);
-  const std::vector<PolicyRollup> rollups = rollup_by_policy(spec, outcomes);
-  const double baseline = rollups.empty() ? 0.0 : rollups.front().mean_uj;
-  const double* ref_baseline =
-      rollups.empty() ? nullptr : find_reference(spec, rollups.front().policy);
   j.key("by_policy");
   j.begin_array();
-  for (const PolicyRollup& r : rollups) {
+  for (const PolicyRollup& r :
+       rollup_by_policy(spec.policies, spec.reference_uj, outcomes)) {
     j.begin_object();
     j.key("policy");
     j.value(r.policy.name());
@@ -334,32 +273,23 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
     j.value(static_cast<std::uint64_t>(r.scenarios));
     j.key("mean_uj");
     j.value(r.mean_uj);
-    // A zero baseline (no energy data for the first policy) makes the
-    // ratio undefined — emit null (NaN serializes as null), never a
-    // misleading 0.0.
-    const double ratio =
-        baseline > 0.0 ? r.mean_uj / baseline : std::nan("");
     j.key("ratio");
-    j.value(ratio);
-    if (const double* ref = find_reference(spec, r.policy)) {
+    j.value(r.ratio);
+    if (r.has_reference) {
       j.key("paper_uj");
-      j.value(*ref);
-      if (ref_baseline != nullptr && *ref_baseline > 0.0) {
+      j.value(r.paper_uj);
+      if (r.on_paper_scale) {
         j.key("paper_ratio");
-        j.value(*ref / *ref_baseline);
-        // Paper-normalized energy: measured ratio on the paper's absolute
-        // scale (our compiler emits denser code, so absolute uJ differ by
-        // a constant factor while the policy ratios match).
+        j.value(r.paper_ratio);
         j.key("normalized_uj");
-        j.value(ratio * *ref_baseline);
+        j.value(r.normalized_uj);
       }
-    } else if (ref_baseline != nullptr && *ref_baseline > 0.0 &&
-               std::isfinite(ratio)) {
+    } else if (r.on_paper_scale && std::isfinite(r.ratio)) {
       // No paper number for this policy (the paper predates the hiding
       // countermeasures), but its measured ratio still projects onto the
       // paper's absolute scale for side-by-side comparison.
       j.key("normalized_uj");
-      j.value(ratio * *ref_baseline);
+      j.value(r.normalized_uj);
     }
     j.end_object();
   }
@@ -368,28 +298,59 @@ void write_manifest(const std::string& path, const CampaignSpec& spec,
 
   j.end_object();
   j.finish();
-  file.flush();
-  if (!file) throw std::runtime_error("write failure on " + path);
+  util::close_or_throw(file, path);
+}
+
+void write_result(JsonWriter& j, const ScenarioResult& r) {
+  j.begin_object();
+  j.key("encryptions");
+  j.value(r.encryptions);
+  j.key("total_cycles");
+  j.value(r.total_cycles);
+  j.key("total_instructions");
+  j.value(r.total_instructions);
+  j.key("total_energy_uj");
+  j.value(r.total_energy_uj);
+  j.key("mean_uj");
+  j.value(r.mean_uj());
+  j.key("secured_count");
+  j.value(r.secured_count);
+  j.key("program_instructions");
+  j.value(r.program_instructions);
+  j.key("metric");
+  j.value(r.metric);
+  j.key("best_guess");
+  j.value(r.best_guess);
+  j.key("true_value");
+  j.value(r.true_value);
+  j.key("success");
+  j.value(r.success);
+  j.key("margin");
+  j.value(r.margin);
+  j.key("cycles_over_threshold");
+  j.value(r.cycles_over_threshold);
+  j.end_object();
 }
 
 ScenarioResult scenario_result_from_json(const util::JsonValue& result) {
-  // Doubles that were emitted as null (non-finite) load back as NaN so a
-  // re-serialization produces null again.
-  const auto as_double_or_nan = [](const util::JsonValue& v) {
-    return v.is_null() ? std::nan("") : v.as_double();
+  const auto as_double_or = [](const util::JsonValue& v, double if_null) {
+    return v.is_null() ? if_null : v.as_double();
   };
+  const double nan = std::nan("");
   ScenarioResult r;
   r.encryptions = result.at("encryptions").as_u64();
   r.total_cycles = result.at("total_cycles").as_u64();
   r.total_instructions = result.at("total_instructions").as_u64();
-  r.total_energy_uj = as_double_or_nan(result.at("total_energy_uj"));
+  r.total_energy_uj = as_double_or(result.at("total_energy_uj"), nan);
   r.secured_count = result.at("secured_count").as_u64();
   r.program_instructions = result.at("program_instructions").as_u64();
-  r.metric = as_double_or_nan(result.at("metric"));
+  r.metric = as_double_or(result.at("metric"), nan);
   r.best_guess = static_cast<int>(result.at("best_guess").as_int());
   r.true_value = static_cast<int>(result.at("true_value").as_int());
   r.success = result.at("success").as_bool();
-  r.margin = as_double_or_nan(result.at("margin"));
+  // A margin is finite or +inf (no positive runner-up), never NaN.
+  r.margin = as_double_or(result.at("margin"),
+                          std::numeric_limits<double>::infinity());
   r.cycles_over_threshold = result.at("cycles_over_threshold").as_u64();
   return r;
 }
@@ -416,8 +377,7 @@ void write_summary_csv(const std::string& path,
 
 void write_timings(const std::string& path,
                    const std::vector<ScenarioOutcome>& outcomes) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot write timings " + path);
+  std::ofstream file = util::open_for_write(path);
   JsonWriter j(file);
   j.begin_object();
   j.key("format");
@@ -450,6 +410,42 @@ void write_timings(const std::string& path,
   j.end_array();
   j.end_object();
   j.finish();
+  util::close_or_throw(file, path);
+}
+
+void claim_output_dir(const std::string& dir, const CampaignSpec& spec) {
+  const std::string spec_copy = (fs::path(dir) / "spec.ini").string();
+  if (!fs::exists(spec_copy)) {
+    std::ofstream out = util::open_for_write(spec_copy);
+    out << spec.text;
+    util::close_or_throw(out, spec_copy);
+    return;
+  }
+  const std::string existing = fnv1a_hex(util::read_text_file(spec_copy));
+  if (existing != spec.hash) {
+    throw SpecError(dir + " already holds a different campaign (spec hash " +
+                    existing + " != " + spec.hash +
+                    "); use a fresh --out directory");
+  }
+}
+
+std::string run_file_name(std::string_view stem, std::string_view ext,
+                          const ShardSpec& shard) {
+  std::string name(stem);
+  if (shard.sharded()) name += "." + shard.label();
+  return name.append(ext);
+}
+
+std::vector<fs::path> find_shard_manifests(const fs::path& dir) {
+  std::vector<fs::path> found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("manifest.shard-") && name.ends_with(".json")) {
+      found.push_back(entry.path());
+    }
+  }
+  std::sort(found.begin(), found.end());
+  return found;
 }
 
 }  // namespace emask::campaign

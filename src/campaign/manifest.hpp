@@ -1,5 +1,9 @@
 // Campaign provenance: checkpoints, the results manifest, and timings.
 //
+// Each artifact has one writer and one reader here; the runner, the shard
+// merge, the report layer and the CLI locate and parse them through these
+// helpers only.
+//
 // Determinism contract
 // --------------------
 // `manifest.json` is **byte-identical** between a campaign run start-to-
@@ -11,25 +15,35 @@
 // and throughput live in `timings.json`, which the manifest references and
 // which is explicitly outside the byte-identity guarantee.
 //
-// Checkpoints are one INI file per completed scenario under
-// `checkpoints/`.  Each records the deterministic result fields with
-// round-trippable "%.17g" doubles plus the spec hash; on --resume a
-// checkpoint whose hash (or id) does not match the current spec is treated
-// as stale and the scenario re-runs.
+// Checkpoints are one JSON file per completed scenario,
+// `checkpoints/<id>.json`: the scenario id, the (shard-folded) guard hash,
+// the same `result` object the manifest carries, and the scenario's
+// wall-clock fields.  On --resume a checkpoint whose id or guard hash does
+// not match is stale and the scenario re-runs; so does a scenario whose
+// only checkpoint is a legacy `checkpoints/<id>.ini`, which is never read.
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/spec.hpp"
 
 namespace emask::util {
+class JsonWriter;
 struct JsonValue;
 }
 
 namespace emask::campaign {
+
+/// The `format` markers of a whole-matrix and a per-shard manifest.
+inline constexpr const char* kManifestFormat = "emask-campaign-manifest-v1";
+inline constexpr const char* kShardManifestFormat =
+    "emask-campaign-shard-manifest-v1";
 
 /// Deterministic outcome of one scenario (plus the wall-clock fields that
 /// only ever reach timings.json).
@@ -51,7 +65,7 @@ struct ScenarioResult {
   double margin = 0.0;
   std::uint64_t cycles_over_threshold = 0;  // tvla
 
-  // -- non-deterministic; excluded from manifest.json and checkpt compare --
+  // -- non-deterministic; excluded from manifest.json --
   double wall_seconds = 0.0;
   std::uint64_t threads_used = 0;
 
@@ -67,37 +81,40 @@ struct ScenarioOutcome {
   bool resumed = false;  // satisfied from a checkpoint, not re-simulated
 };
 
-/// Writes the checkpoint INI for a completed scenario (atomically enough
-/// for our purposes: temp file + rename).
+/// Emits the deterministic fields of `r` as one JSON object — the
+/// manifest's per-scenario `result` block and the checkpoint's.
+void write_result(util::JsonWriter& j, const ScenarioResult& r);
+
+/// Reads one `result` object back into a ScenarioResult (the inverse of
+/// write_result).  Numbers round-trip bit-exactly ("%.17g" doubles, raw
+/// integer tokens).  Non-finite doubles were written as `null`: a null
+/// margin loads as +inf (margin_over_runner_up's only non-finite value), a
+/// null metric or total_energy_uj as NaN.  Throws util::JsonError on
+/// missing keys or type mismatches.
+[[nodiscard]] ScenarioResult scenario_result_from_json(
+    const util::JsonValue& result);
+
+/// Writes the checkpoint of a completed scenario (temp file + rename).
 void save_checkpoint(const std::string& path, const Scenario& scenario,
                      const ScenarioResult& result,
-                     const std::string& spec_hash);
+                     const std::string& guard_hash);
 
-/// Loads a checkpoint if present and current (id + spec hash match).
+/// Loads a checkpoint if present and current (id + guard hash match).
 /// Returns false when missing or stale; throws on a malformed file.
 [[nodiscard]] bool load_checkpoint(const std::string& path,
                                    const Scenario& scenario,
-                                   const std::string& spec_hash,
+                                   const std::string& guard_hash,
                                    ScenarioResult* out);
 
 /// Writes the deterministic results manifest.  With a sharded `shard`,
-/// writes the per-shard variant instead: format
-/// "emask-campaign-shard-manifest-v1" with `shard_index`/`shard_count`
-/// fields, covering only the shard's outcomes.  The document layout is
-/// otherwise identical, so the merged whole-matrix manifest is produced by
-/// the same code path (shard == nullptr or unsharded).
+/// writes the per-shard variant instead: format kShardManifestFormat with
+/// `shard_index`/`shard_count` fields, covering only the shard's outcomes.
+/// The document layout is otherwise identical, so the merged whole-matrix
+/// manifest is produced by the same code path (unsharded `shard`).
 void write_manifest(const std::string& path, const CampaignSpec& spec,
                     const std::vector<ScenarioOutcome>& outcomes,
                     const std::string& git_version,
-                    const ShardSpec* shard = nullptr);
-
-/// Reads one manifest "result" object back into a ScenarioResult (the
-/// inverse of the scenario block write_manifest emits).  Numbers
-/// round-trip bit-exactly ("%.17g" doubles, raw integer tokens); a `null`
-/// metric/margin (the JSON encoding of a non-finite double) loads as NaN.
-/// Throws util::JsonError on missing keys or type mismatches.
-[[nodiscard]] ScenarioResult scenario_result_from_json(
-    const util::JsonValue& result);
+                    const ShardSpec& shard = {});
 
 /// Writes the deterministic per-scenario summary table (one row per
 /// outcome, in matrix order).  Shared by the runner and the shard merge so
@@ -113,22 +130,61 @@ void write_timings(const std::string& path,
 /// git (or the repo) is unavailable.
 [[nodiscard]] std::string git_describe();
 
-/// Per-policy mean energy per encryption, averaged over the policy's
-/// scenarios (energy-analysis scenarios preferred when the campaign has
-/// any — they run the whole program, not an attack window).
+/// Claims `dir` for `spec`: creates it and writes the verbatim spec.ini on
+/// first use; throws SpecError when the directory already holds a spec.ini
+/// with a different hash.  An output directory belongs to exactly one spec.
+void claim_output_dir(const std::string& dir, const CampaignSpec& spec);
+
+/// Name of a per-run output file: "<stem><ext>" for an unsharded run,
+/// "<stem>.shard-i-of-N<ext>" for a shard (summary.csv, report.html and
+/// the two below).
+[[nodiscard]] std::string run_file_name(std::string_view stem,
+                                        std::string_view ext,
+                                        const ShardSpec& shard);
+/// manifest.json, or manifest.shard-i-of-N.json for a shard.
+[[nodiscard]] inline std::string manifest_name(const ShardSpec& shard = {}) {
+  return run_file_name("manifest", ".json", shard);
+}
+/// timings.json, or timings.shard-i-of-N.json for a shard.
+[[nodiscard]] inline std::string timings_name(const ShardSpec& shard = {}) {
+  return run_file_name("timings", ".json", shard);
+}
+
+/// The per-shard manifests (manifest.shard-i-of-N.json) directly under
+/// `dir`, sorted by name.
+[[nodiscard]] std::vector<std::filesystem::path> find_shard_manifests(
+    const std::filesystem::path& dir);
+
+/// One row of the per-policy roll-up.  `mean_uj` averages the policy's
+/// scenarios (energy-analysis scenarios only when the campaign has any —
+/// they run the whole program, not an attack window).  Derived values are
+/// NaN when undefined, never a fake 0 that reads like a measurement.
 struct PolicyRollup {
   hiding::Countermeasure policy;
   std::size_t scenarios = 0;
   double mean_uj = 0.0;
+  /// mean_uj over the first policy's; NaN without a positive baseline.
+  double ratio = std::numeric_limits<double>::quiet_NaN();
+  bool has_reference = false;  // the campaign carries a paper number
+  double paper_uj = 0.0;
+  /// The first policy has a positive paper reference, which defines
+  /// paper_ratio and normalized_uj.
+  bool on_paper_scale = false;
+  double paper_ratio = std::numeric_limits<double>::quiet_NaN();
+  /// Measured ratio projected onto the paper's absolute scale (our
+  /// compiler emits denser code, so absolute uJ differ by a constant
+  /// factor while the policy ratios match).  Defined for every policy on
+  /// the paper scale, also those the paper never measured.
+  double normalized_uj = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// Rolls `outcomes` up per policy, in `policies` order; the first policy is
+/// the baseline.  `references` holds paper uJ values keyed by canonical
+/// countermeasure name (a spec's [reference] section).
 [[nodiscard]] std::vector<PolicyRollup> rollup_by_policy(
-    const CampaignSpec& spec, const std::vector<ScenarioOutcome>& outcomes);
-
-/// The spec's [reference] value for a policy (matched by canonical
-/// countermeasure name), or nullptr.
-[[nodiscard]] const double* find_reference(
-    const CampaignSpec& spec, const hiding::Countermeasure& policy);
+    const std::vector<hiding::Countermeasure>& policies,
+    const std::vector<std::pair<std::string, double>>& references,
+    const std::vector<ScenarioOutcome>& outcomes);
 
 /// Filename of the analysis-specific artifact CSV the runner writes beside
 /// result.csv: breakdown.csv (energy), guesses.csv (dpa/cpa/second_order),
@@ -141,7 +197,6 @@ struct PolicyRollup {
 
 /// Artifact paths relative to a campaign output directory — the layout
 /// contract consumers (the report layer) join against.
-[[nodiscard]] std::string scenario_result_path(const std::string& id);
 [[nodiscard]] std::string scenario_artifact_path(const std::string& id,
                                                  Analysis a);
 [[nodiscard]] std::string scenario_disclosure_path(const std::string& id);

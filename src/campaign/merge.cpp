@@ -37,28 +37,21 @@ struct ShardManifest {
   util::JsonValue doc;
 };
 
-constexpr const char* kShardFormat = "emask-campaign-shard-manifest-v1";
-
 /// Loads and validates the shard manifests of one directory (a directory
 /// may hold several shards of the same spec).
 std::vector<ShardManifest> load_shard_manifests(const fs::path& dir,
                                                 const std::string& spec_hash) {
   std::vector<ShardManifest> found;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("manifest.shard-", 0) != 0 ||
-        name.size() < 5 || name.compare(name.size() - 5, 5, ".json") != 0) {
-      continue;
-    }
+  for (const fs::path& path : find_shard_manifests(dir)) {
     ShardManifest m;
     m.dir = dir;
-    m.path = entry.path();
-    m.doc = parse_json_file(entry.path());
+    m.path = path;
+    m.doc = parse_json_file(path);
     try {
       const std::string format = m.doc.at("format").as_string();
-      if (format != kShardFormat) {
+      if (format != kShardManifestFormat) {
         throw SpecError(m.path.string() + ": not a shard manifest (format '" +
-                        format + "', expected " + kShardFormat + ")");
+                        format + "', expected " + kShardManifestFormat + ")");
       }
       const std::string hash = m.doc.at("spec_hash").as_string();
       if (hash != spec_hash) {
@@ -88,26 +81,6 @@ std::vector<ShardManifest> load_shard_manifests(const fs::path& dir,
   return found;
 }
 
-/// Copies the spec into the merged directory with the same one-spec-per-
-/// directory guard the runner applies.
-void place_spec_copy(const fs::path& out, const CampaignSpec& spec) {
-  const fs::path spec_copy = out / "spec.ini";
-  if (fs::exists(spec_copy)) {
-    const std::string existing = fnv1a_hex(read_text(spec_copy));
-    if (existing != spec.hash) {
-      throw SpecError(out.string() +
-                      " already holds a different campaign (spec hash " +
-                      existing + " != " + spec.hash +
-                      "); use a fresh --out directory");
-    }
-    return;
-  }
-  std::ofstream copy(spec_copy);
-  copy << spec.text;
-  copy.flush();
-  if (!copy) throw std::runtime_error("cannot write " + spec_copy.string());
-}
-
 /// Folds per-scenario wall-clock data from the shard timings files into
 /// the outcomes; returns false (leaving outcomes untouched) when any shard
 /// timings file is absent — timings sit outside the byte-identity
@@ -118,8 +91,7 @@ bool fold_timings(const std::vector<ShardManifest>& shards,
   std::vector<util::JsonValue> docs;
   docs.reserve(shards.size());
   for (const ShardManifest& m : shards) {
-    const fs::path path =
-        m.dir / ("timings." + m.shard.label() + ".json");
+    const fs::path path = m.dir / timings_name(m.shard);
     if (!fs::exists(path)) return false;
     docs.push_back(parse_json_file(path));
   }
@@ -254,18 +226,17 @@ MergeReport merge_shards(const MergeOptions& options) {
   }
 
   const fs::path out(options.out_dir);
-  fs::create_directories(out);
-  place_spec_copy(out, spec);
+  claim_output_dir(options.out_dir, spec);
 
   MergeReport report;
   report.shard_count = count;
   report.scenarios = matrix.size();
   report.timings_merged = fold_timings(shards, outcomes);
-  write_manifest((out / "manifest.json").string(), spec, outcomes,
+  write_manifest((out / manifest_name()).string(), spec, outcomes,
                  git_describe());
   write_summary_csv((out / "summary.csv").string(), outcomes);
   if (report.timings_merged) {
-    write_timings((out / "timings.json").string(), outcomes);
+    write_timings((out / timings_name()).string(), outcomes);
   } else if (!options.quiet) {
     std::printf("merge: shard timings incomplete; skipping timings.json "
                 "(outside the byte-identity guarantee)\n");

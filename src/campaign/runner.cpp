@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 
 #include "aes/aes128.hpp"
 #include "aes/asm_generator.hpp"
@@ -720,36 +719,16 @@ CampaignReport CampaignRunner::run() {
   // Checkpoints are valid only under the partition that wrote them.
   const std::string guard_hash = shard.checkpoint_hash(spec_.hash);
   const fs::path out(options_.out_dir);
+  claim_output_dir(options_.out_dir, spec_);
   fs::create_directories(out / "scenarios");
   fs::create_directories(out / "checkpoints");
-
-  // Spec guard: an output directory belongs to exactly one spec.
-  const fs::path spec_copy = out / "spec.ini";
-  if (fs::exists(spec_copy)) {
-    std::ifstream in(spec_copy);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (fnv1a_hex(buffer.str()) != spec_.hash) {
-      throw SpecError(options_.out_dir +
-                      " already holds a different campaign (spec hash " +
-                      fnv1a_hex(buffer.str()) + " != " + spec_.hash +
-                      "); use a fresh --out directory");
-    }
-  } else {
-    std::ofstream copy(spec_copy);
-    copy << spec_.text;
-    copy.flush();
-    if (!copy) {
-      throw std::runtime_error("cannot write " + spec_copy.string());
-    }
-  }
 
   CampaignReport report;
   report.total_scenarios = scenarios.size();
   for (const Scenario& s : scenarios) {
     const std::size_t position = report.outcomes.size() + 1;
     const std::string checkpoint =
-        (out / "checkpoints" / (s.id + ".ini")).string();
+        (out / "checkpoints" / (s.id + ".json")).string();
     const std::string dir = (out / "scenarios" / s.id).string();
     ScenarioOutcome outcome;
     outcome.scenario = s;
@@ -793,13 +772,10 @@ CampaignReport CampaignRunner::run() {
     return report;
   }
 
-  const std::string suffix =
-      shard.sharded() ? "." + shard.label() : std::string();
-  write_manifest((out / ("manifest" + suffix + ".json")).string(), spec_,
-                 report.outcomes, git_describe(), &shard);
-  write_timings((out / ("timings" + suffix + ".json")).string(),
-                report.outcomes);
-  write_summary_csv((out / ("summary" + suffix + ".csv")).string(),
+  write_manifest((out / manifest_name(shard)).string(), spec_,
+                 report.outcomes, git_describe(), shard);
+  write_timings((out / timings_name(shard)).string(), report.outcomes);
+  write_summary_csv((out / run_file_name("summary", ".csv", shard)).string(),
                     report.outcomes);
   if (!options_.quiet) print_summary(spec_, report, stdout);
   return report;
@@ -828,10 +804,8 @@ void CampaignRunner::print_summary(const CampaignSpec& spec,
                                    const CampaignReport& report,
                                    std::FILE* out) {
   const std::vector<PolicyRollup> rollups =
-      rollup_by_policy(spec, report.outcomes);
+      rollup_by_policy(spec.policies, spec.reference_uj, report.outcomes);
   if (rollups.empty()) return;
-  const double baseline = rollups.front().mean_uj;
-  const double* ref_baseline = find_reference(spec, rollups.front().policy);
   std::fprintf(out, "\n%-16s %12s %8s", "policy", "mean uJ/enc", "ratio");
   const bool with_reference = !spec.reference_uj.empty();
   if (with_reference) {
@@ -842,23 +816,19 @@ void CampaignRunner::print_summary(const CampaignSpec& spec,
     // A missing baseline makes the ratio undefined; print n/a, never a
     // misleading 0.000.
     std::fprintf(out, "%-16s %12.3f", r.policy.name().c_str(), r.mean_uj);
-    if (baseline > 0.0) {
-      std::fprintf(out, " %8.3f", r.mean_uj / baseline);
-    } else {
+    if (std::isnan(r.ratio)) {
       std::fprintf(out, " %8s", "n/a");
+    } else {
+      std::fprintf(out, " %8.3f", r.ratio);
     }
-    const double* ref = find_reference(spec, r.policy);
-    if (with_reference && ref_baseline != nullptr && *ref_baseline > 0.0 &&
-        baseline > 0.0) {
-      const double ratio = r.mean_uj / baseline;
-      if (ref != nullptr) {
-        std::fprintf(out, " %10.1f %8.3f %14.2f", *ref, *ref / *ref_baseline,
-                     ratio * *ref_baseline);
+    if (with_reference && r.on_paper_scale && !std::isnan(r.ratio)) {
+      if (r.has_reference) {
+        std::fprintf(out, " %10.1f %8.3f %14.2f", r.paper_uj, r.paper_ratio,
+                     r.normalized_uj);
       } else {
         // The paper has no number for this policy (hiding countermeasures
         // postdate it); only the projected energy is meaningful.
-        std::fprintf(out, " %10s %8s %14.2f", "n/a", "n/a",
-                     ratio * *ref_baseline);
+        std::fprintf(out, " %10s %8s %14.2f", "n/a", "n/a", r.normalized_uj);
       }
     }
     std::fprintf(out, "\n");

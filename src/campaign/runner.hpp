@@ -12,7 +12,9 @@
 //                                      guesses, disclosure, t_per_cycle;
 //                                      sessions add blocks, session)
 //   <out>/scenarios/<id>/traces.emts   optional raw trace set
-//   <out>/checkpoints/<id>.ini         resume record (see manifest.hpp)
+//   <out>/checkpoints/<id>.json        resume record (see manifest.hpp;
+//                                      a legacy <id>.ini is never read,
+//                                      so that scenario re-runs)
 //   <out>/manifest.json                deterministic results manifest
 //   <out>/timings.json                 wall-time / throughput (excluded
 //                                      from the byte-identity guarantee)

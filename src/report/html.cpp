@@ -156,7 +156,7 @@ void rollup_section(std::ostringstream& out, const Model& m) {
   if (m.rollup.empty()) return;
   out << "<h2>Energy per policy</h2>\n";
   bool any_reference = false;
-  for (const PolicyRow& r : m.rollup) any_reference |= r.has_reference;
+  for (const auto& r : m.rollup) any_reference |= r.has_reference;
 
   out << "<table>\n<tr><th class=\"l\">policy</th><th>scenarios</th>"
       << "<th>mean uJ/enc</th><th>ratio</th>";
@@ -164,7 +164,7 @@ void rollup_section(std::ostringstream& out, const Model& m) {
     out << "<th>paper uJ</th><th>paper ratio</th><th>normalized uJ</th>";
   }
   out << "</tr>\n";
-  for (const PolicyRow& r : m.rollup) {
+  for (const auto& r : m.rollup) {
     out << "<tr><td class=\"l\">" << esc(r.policy.name()) << "</td><td>"
         << r.scenarios << "</td><td>" << num_or_na(r.mean_uj) << "</td><td>"
         << num_or_na(r.ratio) << "</td>";
@@ -183,14 +183,14 @@ void rollup_section(std::ostringstream& out, const Model& m) {
 
   BarChartSpec chart;
   chart.y_label = "uJ per encryption";
-  for (const PolicyRow& r : m.rollup) {
+  for (const auto& r : m.rollup) {
     chart.groups.push_back(r.policy.name());
   }
   if (any_reference) {
     chart.title = "Energy per policy: measured (paper-normalized) vs. paper";
     BarSeries measured{"measured (normalized uJ)", {}};
     BarSeries paper{"paper uJ", {}};
-    for (const PolicyRow& r : m.rollup) {
+    for (const auto& r : m.rollup) {
       measured.values.push_back(r.has_reference ? r.normalized_uj
                                                 : std::nan(""));
       paper.values.push_back(r.has_reference ? r.paper_uj : std::nan(""));
@@ -200,7 +200,7 @@ void rollup_section(std::ostringstream& out, const Model& m) {
   } else {
     chart.title = "Measured energy per policy";
     BarSeries measured{"measured uJ/enc", {}};
-    for (const PolicyRow& r : m.rollup) measured.values.push_back(r.mean_uj);
+    for (const auto& r : m.rollup) measured.values.push_back(r.mean_uj);
     chart.series.push_back(std::move(measured));
   }
   out << bar_chart(chart) << "\n";
@@ -286,7 +286,7 @@ void sweep_section(std::ostringstream& out, const Model& m) {
       spec.x_label = ax.label;
       spec.y_label = std::string(metric_label(kind));
       if (kind == campaign::Analysis::kTvla) spec.hlines = {4.5};
-      for (const PolicyRow& p : m.rollup) {
+      for (const auto& p : m.rollup) {
         LineSeries series;
         series.label = p.policy.name();
         std::vector<std::pair<double, double>> points;
@@ -408,7 +408,7 @@ void pareto_section(std::ostringstream& out, const Model& m) {
     bool has_attack = false;
   };
   std::vector<Candidate> cands;
-  for (const PolicyRow& r : m.rollup) {
+  for (const auto& r : m.rollup) {
     Candidate c;
     c.name = r.policy.name();
     // Paper-normalized energy when the campaign carries a reference scale,
@@ -447,7 +447,7 @@ void pareto_section(std::ostringstream& out, const Model& m) {
   }
   // Paper reference energies as dashed vertical lines, on the same scale
   // as the normalized measurements.
-  for (const PolicyRow& r : m.rollup) {
+  for (const auto& r : m.rollup) {
     if (!r.has_reference) continue;
     spec.vlines.push_back(r.paper_uj);
     spec.vline_labels.push_back(r.policy.name() + " (paper)");

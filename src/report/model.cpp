@@ -1,6 +1,6 @@
 #include "report/model.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
 
 #include "util/argparse.hpp"
@@ -11,9 +11,6 @@ namespace emask::report {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr const char* kManifestFormat = "emask-campaign-manifest-v1";
-constexpr const char* kShardFormat = "emask-campaign-shard-manifest-v1";
 
 std::uint64_t hex_field(const util::JsonValue& doc, const char* key) {
   try {
@@ -29,16 +26,9 @@ fs::path find_manifest(const fs::path& dir) {
   if (!fs::is_directory(dir)) {
     throw ReportError(dir.string() + ": not a directory");
   }
-  const fs::path merged = dir / "manifest.json";
+  const fs::path merged = dir / campaign::manifest_name();
   if (fs::exists(merged)) return merged;
-  std::vector<fs::path> shards;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("manifest.shard-", 0) == 0 && name.size() >= 5 &&
-        name.compare(name.size() - 5, 5, ".json") == 0) {
-      shards.push_back(entry.path());
-    }
-  }
+  const std::vector<fs::path> shards = campaign::find_shard_manifests(dir);
   if (shards.empty()) {
     throw ReportError(dir.string() +
                       ": no manifest.json (campaign incomplete, or not a "
@@ -52,21 +42,37 @@ fs::path find_manifest(const fs::path& dir) {
   return shards.front();
 }
 
-/// Per-policy reference energies out of the manifest's by_policy block
-/// (absent for campaigns without a [reference] section), keyed by name.
-std::vector<std::pair<std::string, double>> references_from_rollup(
-    const util::JsonValue& doc) {
-  std::vector<std::pair<std::string, double>> refs;
+/// The roll-up's policy order (by_policy order when the manifest has a
+/// rollup block, else order of first appearance) and the paper references
+/// read back from its by_policy entries.
+struct RollupInputs {
+  std::vector<hiding::Countermeasure> policies;
+  std::vector<std::pair<std::string, double>> references;
+};
+
+RollupInputs rollup_inputs(const util::JsonValue& doc,
+                           const std::vector<ScenarioEntry>& scenarios) {
+  RollupInputs in;
   const util::JsonValue* rollup = doc.find("rollup");
-  if (rollup == nullptr) return refs;
-  const util::JsonValue* by_policy = rollup->find("by_policy");
-  if (by_policy == nullptr) return refs;
-  for (const util::JsonValue& row : by_policy->array) {
-    if (const util::JsonValue* ref = row.find("paper_uj")) {
-      refs.emplace_back(row.at("policy").as_string(), ref->as_double());
+  const util::JsonValue* by_policy =
+      rollup != nullptr ? rollup->find("by_policy") : nullptr;
+  if (by_policy != nullptr) {
+    for (const util::JsonValue& row : by_policy->array) {
+      const std::string& name = row.at("policy").as_string();
+      in.policies.push_back(campaign::policy_from_name(name));
+      if (const util::JsonValue* ref = row.find("paper_uj")) {
+        in.references.emplace_back(name, ref->as_double());
+      }
+    }
+    return in;
+  }
+  for (const ScenarioEntry& e : scenarios) {
+    if (std::find(in.policies.begin(), in.policies.end(),
+                  e.scenario.policy) == in.policies.end()) {
+      in.policies.push_back(e.scenario.policy);
     }
   }
-  return refs;
+  return in;
 }
 
 }  // namespace
@@ -84,16 +90,16 @@ Model Model::from_manifest(const std::string& manifest_text,
   Model model;
   model.manifest_name = manifest_name;
   const std::string format = doc.at("format").as_string();
-  if (format == kShardFormat) {
+  if (format == campaign::kShardManifestFormat) {
     model.sharded = true;
     model.shard_index = static_cast<std::size_t>(
         doc.at("shard_index").as_u64());
     model.shard_count = static_cast<std::size_t>(
         doc.at("shard_count").as_u64());
-  } else if (format != kManifestFormat) {
+  } else if (format != campaign::kManifestFormat) {
     throw ReportError(manifest_name + ": unknown manifest format '" + format +
-                      "' (expected " + kManifestFormat + " or " +
-                      kShardFormat + ")");
+                      "' (expected " + campaign::kManifestFormat + " or " +
+                      campaign::kShardManifestFormat + ")");
   }
   model.campaign = doc.at("campaign").as_string();
   model.spec_hash = doc.at("spec_hash").as_string();
@@ -175,68 +181,15 @@ Model Model::from_manifest(const std::string& manifest_text,
   }
 
   // Recompute the roll-up from the scenario results through the same
-  // helper the manifest writer uses.  The pseudo-spec carries the policy
-  // order (by_policy order when present, else order of first appearance)
-  // and the paper references read back from by_policy.
-  campaign::CampaignSpec pseudo;
-  pseudo.name = model.campaign;
-  pseudo.reference_uj = references_from_rollup(doc);
-  const util::JsonValue* rollup = doc.find("rollup");
-  const util::JsonValue* by_policy =
-      rollup != nullptr ? rollup->find("by_policy") : nullptr;
-  if (by_policy != nullptr) {
-    for (const util::JsonValue& row : by_policy->array) {
-      pseudo.policies.push_back(
-          campaign::policy_from_name(row.at("policy").as_string()));
-    }
-  } else {
-    for (const ScenarioEntry& e : model.scenarios) {
-      bool seen = false;
-      for (const hiding::Countermeasure& p : pseudo.policies) {
-        if (p == e.scenario.policy) seen = true;
-      }
-      if (!seen) pseudo.policies.push_back(e.scenario.policy);
-    }
-  }
+  // helper the manifest writer uses.
+  const RollupInputs inputs = rollup_inputs(doc, model.scenarios);
   std::vector<campaign::ScenarioOutcome> outcomes;
   outcomes.reserve(model.scenarios.size());
   for (const ScenarioEntry& e : model.scenarios) {
-    campaign::ScenarioOutcome o;
-    o.scenario = e.scenario;
-    o.result = e.result;
-    outcomes.push_back(std::move(o));
+    outcomes.push_back({e.scenario, e.result});
   }
-  const std::vector<campaign::PolicyRollup> rollups =
-      campaign::rollup_by_policy(pseudo, outcomes);
-  const double baseline = rollups.empty() ? 0.0 : rollups.front().mean_uj;
-  const double* ref_baseline =
-      rollups.empty()
-          ? nullptr
-          : campaign::find_reference(pseudo, rollups.front().policy);
-  for (const campaign::PolicyRollup& r : rollups) {
-    PolicyRow row;
-    row.policy = r.policy;
-    row.scenarios = r.scenarios;
-    row.mean_uj = r.mean_uj;
-    // NaN, not 0, when the baseline is unusable (no energy scenarios, or a
-    // NaN mean poisoning it): the report renders "n/a" where the manifest's
-    // own rollup block would have written a misleading 0 ratio.
-    row.ratio = baseline > 0.0 ? r.mean_uj / baseline : std::nan("");
-    if (const double* ref = campaign::find_reference(pseudo, r.policy)) {
-      row.has_reference = true;
-      row.paper_uj = *ref;
-    }
-    // Paper-normalized energy is a projection of the *measured* ratio onto
-    // the paper's absolute scale — it exists whenever the baseline policy
-    // has a reference, even for policies (the hiding countermeasures) the
-    // paper itself never measured.  Without it such rows would render 0/NaN
-    // bars next to real measurements.
-    if (ref_baseline != nullptr && *ref_baseline > 0.0) {
-      if (row.has_reference) row.paper_ratio = row.paper_uj / *ref_baseline;
-      row.normalized_uj = row.ratio * *ref_baseline;
-    }
-    model.rollup.push_back(row);
-  }
+  model.rollup =
+      campaign::rollup_by_policy(inputs.policies, inputs.references, outcomes);
   return model;
 }
 

@@ -8,10 +8,10 @@
 //
 // The manifest is the source of truth: scenario parameters and results are
 // read back through util::parse_json + campaign::scenario_result_from_json
-// (bit-exact number round-trip), the per-policy roll-up is *recomputed*
-// from those results with campaign::rollup_by_policy — never copied from
-// the manifest's own rollup block — and the paper references ride in from
-// the manifest's by_policy entries.  Artifact CSVs are joined by the
+// (bit-exact number round-trip), and the per-policy roll-up is
+// *recomputed* from those results with campaign::rollup_by_policy — never
+// copied from the manifest's own rollup block, which only contributes the
+// policy order and the paper references.  Artifact CSVs are joined by the
 // campaign layout contract (campaign::scenario_artifact_path); a missing
 // artifact degrades that scenario's drill-down, it never fails the load.
 //
@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -63,21 +62,6 @@ struct ScenarioEntry {
   bool session_present = false;
 };
 
-/// One roll-up row: recomputed measurement plus the manifest's paper
-/// reference when the campaign carried one.
-struct PolicyRow {
-  hiding::Countermeasure policy;
-  std::size_t scenarios = 0;
-  double mean_uj = 0.0;
-  // Derived values are NaN ("n/a" in the report) until computed — never a
-  // fake 0 that reads like a measurement.
-  double ratio = std::numeric_limits<double>::quiet_NaN();
-  bool has_reference = false;
-  double paper_uj = 0.0;
-  double paper_ratio = std::numeric_limits<double>::quiet_NaN();
-  double normalized_uj = std::numeric_limits<double>::quiet_NaN();
-};
-
 struct Model {
   // -- provenance header ------------------------------------------------
   std::string campaign;   // spec name
@@ -89,7 +73,9 @@ struct Model {
   std::size_t shard_count = 1;
 
   std::vector<ScenarioEntry> scenarios;  // manifest order
-  std::vector<PolicyRow> rollup;         // manifest by_policy order
+  /// Recomputed roll-up rows (NaN renders "n/a"), manifest by_policy
+  /// order.
+  std::vector<campaign::PolicyRollup> rollup;
 
   // -- status tallies ---------------------------------------------------
   std::size_t failed = 0;             // result.success == false

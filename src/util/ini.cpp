@@ -1,6 +1,5 @@
 #include "util/ini.hpp"
 
-#include <fstream>
 #include <sstream>
 
 namespace emask::util {
@@ -121,16 +120,6 @@ IniFile IniFile::parse(const std::string& text) {
     current->entries.push_back({key, value, line_no});
   }
   return file;
-}
-
-IniFile IniFile::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("IniFile: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse(buffer.str());
 }
 
 }  // namespace emask::util

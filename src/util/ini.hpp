@@ -50,9 +50,6 @@ class IniFile {
   /// Parses `text`; throws IniError on malformed input.
   [[nodiscard]] static IniFile parse(const std::string& text);
 
-  /// Reads and parses a file; throws std::runtime_error if unreadable.
-  [[nodiscard]] static IniFile load_file(const std::string& path);
-
   [[nodiscard]] const std::vector<Section>& sections() const {
     return sections_;
   }

@@ -5,14 +5,14 @@
 // and resumed runs is a hard guarantee: keys are emitted in call order,
 // indentation is fixed at two spaces, and doubles always use the
 // round-trippable "%.17g" format so a value loaded back from a checkpoint
-// re-serializes to the same bytes.
+// or a shard manifest re-serializes to the same bytes.
 //
 // Non-finite doubles: JSON has no NaN/Infinity literal, so
 // JsonWriter::value(double) emits `null` for any non-finite value instead
-// of the invalid `nan`/`inf` tokens "%.17g" would produce.  format_double
-// itself keeps the C textual forms — it also feeds the checkpoint INI and
-// CSV writers, where "nan"/"inf" round-trip through strtod and JSON
-// validity is not at stake.
+// of the invalid `nan`/`inf` tokens "%.17g" would produce; readers map a
+// null back to the one non-finite value each field can hold.
+// format_double itself keeps the C textual forms — it also feeds the CSV
+// writers, where "nan"/"inf" are what a reader of the table expects.
 //
 // The parser (`parse_json`) exists so the campaign merge step can read
 // shard manifests back.  It accepts exactly the documents JsonWriter

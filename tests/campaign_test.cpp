@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "campaign/manifest.hpp"
@@ -216,8 +217,11 @@ TEST(Checkpoint, RoundTripsThroughDisk) {
   r.true_value = 6;
   r.success = true;
   r.margin = 1.0544;
-  const fs::path path = dir / "ckpt.ini";
+  r.wall_seconds = 0.125;
+  r.threads_used = 3;
+  const fs::path path = dir / "ckpt.json";
   save_checkpoint(path.string(), s, r, "deadbeefdeadbeef");
+  EXPECT_FALSE(fs::exists(path.string() + ".tmp"));
   ScenarioResult loaded;
   ASSERT_TRUE(load_checkpoint(path.string(), s, "deadbeefdeadbeef", &loaded));
   EXPECT_EQ(loaded.encryptions, r.encryptions);
@@ -226,9 +230,44 @@ TEST(Checkpoint, RoundTripsThroughDisk) {
   EXPECT_DOUBLE_EQ(loaded.metric, r.metric);
   EXPECT_EQ(loaded.best_guess, r.best_guess);
   EXPECT_TRUE(loaded.success);
+  EXPECT_DOUBLE_EQ(loaded.margin, r.margin);
+  EXPECT_DOUBLE_EQ(loaded.wall_seconds, r.wall_seconds);
+  EXPECT_EQ(loaded.threads_used, r.threads_used);
+  // Non-finite values are written as null: an infinitely separated margin
+  // comes back as +inf, an undefined metric as NaN.
+  r.margin = std::numeric_limits<double>::infinity();
+  r.metric = std::nan("");
+  save_checkpoint(path.string(), s, r, "deadbeefdeadbeef");
+  ASSERT_TRUE(load_checkpoint(path.string(), s, "deadbeefdeadbeef", &loaded));
+  EXPECT_EQ(loaded.margin, std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(loaded.metric));
+  EXPECT_FALSE(load_checkpoint((dir / "missing.json").string(), s,
+                               "deadbeefdeadbeef", &loaded));
   // A stale spec hash must invalidate the checkpoint.
   EXPECT_FALSE(
       load_checkpoint(path.string(), s, "0000000000000000", &loaded));
+  fs::remove_all(dir);
+}
+
+TEST(Checkpoint, LegacyIniCheckpointIsIgnored) {
+  const CampaignSpec spec = CampaignSpec::parse(kMinimalSpec);
+  const fs::path dir = fs::path(::testing::TempDir()) / "emask_legacy_ckpt";
+  fs::remove_all(dir);
+  RunnerOptions options;
+  options.out_dir = dir.string();
+  options.quiet = true;
+  const CampaignReport first = CampaignRunner(spec, options).run();
+  ASSERT_TRUE(first.complete);
+  const fs::path checkpoint =
+      dir / "checkpoints" / (first.outcomes.front().scenario.id + ".json");
+  ASSERT_TRUE(fs::exists(checkpoint));
+  // An older build's INI checkpoint is never read: the scenario re-runs.
+  fs::rename(checkpoint, fs::path(checkpoint).replace_extension(".ini"));
+  options.resume = true;
+  const CampaignReport again = CampaignRunner(spec, options).run();
+  EXPECT_TRUE(again.complete);
+  EXPECT_EQ(again.resumed, 0u);
+  EXPECT_EQ(again.executed, 1u);
   fs::remove_all(dir);
 }
 
@@ -240,8 +279,8 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
       "name = resume_test\n"
       "window_end = 4000\n"
       "[axes]\n"
-      "policy = original, selective\n"
-      "analysis = energy, tvla\n"
+      "policy = original, selective, all_secure\n"
+      "analysis = energy, cpa, tvla\n"
       "traces = 4\n"
       "[reference]\n"
       "original = 46.4\n"
@@ -258,15 +297,22 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
   options_a.quiet = true;
   const CampaignReport full = CampaignRunner(spec, options_a).run();
   EXPECT_TRUE(full.complete);
-  EXPECT_EQ(full.executed, 4u);
+  EXPECT_EQ(full.executed, 9u);
+  // all_secure CPA finds no variance to rank guesses by (nor does any CPA
+  // row under window_end = 4000): its margin is +inf, which the JSON
+  // checkpoint stores as null.
+  EXPECT_EQ(full.outcomes[7].scenario.analysis, Analysis::kCpa);
+  EXPECT_EQ(full.outcomes[7].result.margin,
+            std::numeric_limits<double>::infinity());
 
-  // Interrupt after 2 scenarios, then resume with a different thread count.
+  // Interrupt after 8 scenarios (the +inf-margin one among them), then
+  // resume with a different thread count.
   RunnerOptions options_b = options_a;
   options_b.out_dir = dir_b.string();
-  options_b.limit = 2;
+  options_b.limit = 8;
   const CampaignReport partial = CampaignRunner(spec, options_b).run();
   EXPECT_FALSE(partial.complete);
-  EXPECT_EQ(partial.executed, 2u);
+  EXPECT_EQ(partial.executed, 8u);
   EXPECT_FALSE(fs::exists(dir_b / "manifest.json"));
 
   RunnerOptions options_c = options_b;
@@ -275,8 +321,8 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
   options_c.jobs = 1;
   const CampaignReport resumed = CampaignRunner(spec, options_c).run();
   EXPECT_TRUE(resumed.complete);
-  EXPECT_EQ(resumed.resumed, 2u);
-  EXPECT_EQ(resumed.executed, 2u);
+  EXPECT_EQ(resumed.resumed, 8u);
+  EXPECT_EQ(resumed.executed, 1u);
 
   EXPECT_EQ(read_file(dir_a / "manifest.json"),
             read_file(dir_b / "manifest.json"));
@@ -349,7 +395,7 @@ TEST(Checkpoint, OtherPartitionsCheckpointIsStale) {
   ScenarioResult r;
   r.encryptions = 1;
   const std::string spec_hash = "deadbeefdeadbeef";
-  const fs::path path = dir / "ckpt.ini";
+  const fs::path path = dir / "ckpt.json";
   // A single-machine checkpoint must not satisfy a sharded resume...
   save_checkpoint(path.string(), s, r, spec_hash);
   ScenarioResult loaded;
@@ -377,7 +423,16 @@ constexpr const char* kMatrix4Spec =
     "traces = 4\n";
 
 TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
-  const CampaignSpec spec = CampaignSpec::parse(kMatrix4Spec);
+  // The CPA rows (all_secure's at index 7, owned by shard 1) have +inf
+  // margins, which the shard manifests carry as null.
+  const CampaignSpec spec = CampaignSpec::parse(
+      "[campaign]\n"
+      "name = shard_test\n"
+      "window_end = 4000\n"
+      "[axes]\n"
+      "policy = original, selective, all_secure\n"
+      "analysis = energy, cpa, tvla\n"
+      "traces = 4\n");
   const fs::path base = fs::path(::testing::TempDir()) / "emask_shard_merge";
   fs::remove_all(base);
 
@@ -396,7 +451,7 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
   s0.shard = ShardSpec::parse("0/2");
   const CampaignReport r0 = CampaignRunner(spec, s0).run();
   EXPECT_TRUE(r0.complete);
-  EXPECT_EQ(r0.total_scenarios, 2u);
+  EXPECT_EQ(r0.total_scenarios, 5u);
 
   RunnerOptions s1 = full;
   s1.out_dir = (base / "s1").string();
@@ -411,7 +466,9 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
   const CampaignReport r1 = CampaignRunner(spec, s1).run();
   EXPECT_TRUE(r1.complete);
   EXPECT_EQ(r1.resumed, 1u);
-  EXPECT_EQ(r1.executed, 1u);
+  EXPECT_EQ(r1.executed, 3u);
+  EXPECT_EQ(r1.outcomes[3].result.margin,
+            std::numeric_limits<double>::infinity());
   EXPECT_TRUE(fs::exists(base / "s1" / "manifest.shard-1-of-2.json"));
 
   MergeOptions merge;
@@ -420,7 +477,7 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
   merge.quiet = true;
   const MergeReport report = merge_shards(merge);
   EXPECT_EQ(report.shard_count, 2u);
-  EXPECT_EQ(report.scenarios, 4u);
+  EXPECT_EQ(report.scenarios, 9u);
   EXPECT_TRUE(report.timings_merged);
 
   EXPECT_EQ(read_file(base / "merged" / "manifest.json"),
@@ -494,7 +551,7 @@ void write_shard_dir(const fs::path& dir, const CampaignSpec& spec,
   out << spec.text;
   out.close();
   write_manifest((dir / ("manifest." + shard.label() + ".json")).string(),
-                 spec, outcomes, git_describe(), &shard);
+                 spec, outcomes, git_describe(), shard);
 }
 
 struct MergeFixture {
@@ -633,6 +690,17 @@ TEST(Runner, RerunWithDifferentSpecInSameDirIsError) {
       CampaignSpec::parse(std::string(kMinimalSpec) + "# changed\n");
   EXPECT_THROW((void)CampaignRunner(other, options).run(), SpecError);
   fs::remove_all(dir);
+}
+
+TEST(Runner, ProvenanceWritersReportWriteFailure) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const CampaignSpec spec = CampaignSpec::parse(kMatrix4Spec);
+  const std::vector<ScenarioOutcome> outcomes =
+      owned_outcomes(spec.expand(), ShardSpec{});
+  EXPECT_THROW(write_timings("/dev/full", outcomes), std::runtime_error);
+  EXPECT_THROW(write_manifest("/dev/full", spec, outcomes, "g"),
+               std::runtime_error);
+  EXPECT_THROW(write_summary_csv("/dev/full", outcomes), std::runtime_error);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST(ParserMutation, ShardManifestMergesOrThrows) {
     write_file(dir / "spec.ini", spec.text);
     const fs::path manifest = dir / ("manifest." + shard.label() + ".json");
     campaign::write_manifest(manifest.string(), spec, outcomes(spec, shard),
-                             "v0", &shard);
+                             "v0", shard);
     if (shard.index == 0) shard0_manifest = manifest;
     options.shard_dirs.push_back(dir.string());
   }

@@ -84,23 +84,18 @@ int run_command(int argc, char** argv) {
     campaign::CampaignRunner runner(spec, options);
     const campaign::CampaignReport result = runner.run();
     if (!quiet && result.complete) {
-      const std::string manifest =
-          options.shard.sharded()
-              ? "manifest." + options.shard.label() + ".json"
-              : "manifest.json";
       std::printf("\ncampaign %s: %zu scenarios (%zu executed, %zu "
                   "resumed) -> %s/%s\n",
                   spec.name.c_str(), result.total_scenarios, result.executed,
-                  result.resumed, options.out_dir.c_str(), manifest.c_str());
+                  result.resumed, options.out_dir.c_str(),
+                  campaign::manifest_name(options.shard).c_str());
     }
     if (report && result.complete) {
       // Same library path as the emask-report CLI: load the manifest the
       // run just wrote (per-shard for sharded runs) and render next to it.
       const std::string html_path =
-          options.shard.sharded()
-              ? options.out_dir + "/report." + options.shard.label() +
-                    ".html"
-              : options.out_dir + "/report.html";
+          options.out_dir + "/" +
+          campaign::run_file_name("report", ".html", options.shard);
       const std::size_t bytes =
           report::render_directory(options.out_dir, html_path);
       if (!quiet) {

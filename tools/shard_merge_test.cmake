@@ -1,7 +1,7 @@
-# Registered ctest (see tools/CMakeLists.txt): runs an example campaign as
-# two shards with different thread counts, merges them, runs the same spec
-# unsharded, and byte-compares the manifests — the distributed-provenance
-# guarantee, exercised through the real CLI.
+# Registered ctests (see tools/CMakeLists.txt): run a campaign spec as
+# two shards with different thread counts, merge them, run the same spec
+# unsharded, and byte-compare the manifests and summaries — the
+# distributed-provenance guarantee, exercised through the real CLI.
 #
 # Invoked as:
 #   cmake -DTOOL=<emask-campaign> -DSPEC=<spec.ini> -DWORK=<scratch dir>
