@@ -81,23 +81,33 @@ MaskingPipeline::MaskingPipeline(compiler::MaskResult masked,
       policy_(policy),
       params_(params),
       text_(std::make_shared<const sim::DecodedText>(
-          sim::decode_text(masked_.program))) {}
+          sim::decode_text(masked_.program))),
+      has_iv_(des::has_iv_symbol(masked_.program)) {}
 
 namespace {
 
-// Windowed runs reserve their trace up front, up to this many samples
-// (2 MiB; a full DES encryption is ~138k cycles).  A caller's window far
-// past the program's end must not become a giant allocation.
+// Every run reserves its trace once, up front, for the whole budget but at
+// most this many samples (2 MiB; a full DES encryption is ~138k cycles), so
+// a run to halt never regrows it.  A budget far past the program's end must
+// not become a giant allocation.
 constexpr std::uint64_t kMaxTraceReserve = std::uint64_t{1} << 18;
 
 // Steps `pipeline` to halt (stop_after_cycles == 0) or for at most
-// `stop_after_cycles` cycles, appending one energy sample per cycle to
-// `trace` — empty for a cold start, the shared prefix for a fork.
+// `stop_after_cycles` cycles, appending one energy sample per cycle to a
+// trace that starts with `prefix` — empty for a cold start, the shared
+// prefix for a fork.  `max_cycles` is the run's cycle budget.
 EncryptionRun drive(sim::Pipeline& pipeline, energy::ProcessorEnergyModel& model,
-                    const assembler::Program& program, analysis::Trace trace,
-                    std::uint64_t stop_after_cycles) {
+                    const assembler::Program& program,
+                    const std::vector<double>& prefix,
+                    std::uint64_t stop_after_cycles, std::uint64_t max_cycles) {
+  std::vector<double> samples;
+  samples.reserve(std::max<std::uint64_t>(
+      std::min(stop_after_cycles != 0 ? stop_after_cycles : max_cycles,
+               kMaxTraceReserve),
+      prefix.size()));
+  samples.insert(samples.end(), prefix.begin(), prefix.end());
   EncryptionRun run;
-  run.trace = std::move(trace);
+  run.trace = analysis::Trace(std::move(samples));
   if (stop_after_cycles == 0) {
     run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
       run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
@@ -110,7 +120,6 @@ EncryptionRun drive(sim::Pipeline& pipeline, energy::ProcessorEnergyModel& model
       run.cipher = des::read_cipher(pipeline.memory(), program);
     }
   } else {
-    run.trace.reserve(std::min(stop_after_cycles, kMaxTraceReserve));
     energy::CycleActivity activity;
     while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
       run.trace.push(model.cycle(activity) * 1e12);
@@ -129,7 +138,7 @@ void MaskingPipeline::poke_inputs(sim::DataMemory& memory,
   if (des_inputs_) {
     sim::poke_symbol(memory, program,
                      des::block_poke("plain", input.plaintext));
-    if (has_iv()) {
+    if (has_iv_) {
       sim::poke_symbol(memory, program, des::block_poke("iv", input.iv));
     }
   }
@@ -174,19 +183,15 @@ EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
   if (snap == nullptr || snap->key != request.input.key ||
       (stop != 0 && stop <= snap->fork_cycle)) {
     RunMachine m = prepare(request.input);
-    return drive(m.machine, m.model, masked_.program, {}, stop);
+    return drive(m.machine, m.model, masked_.program, {}, stop,
+                 sim_config_.max_cycles);
   }
   sim::Pipeline pipeline(masked_.program, snap->machine, text_.get());
   poke_inputs(pipeline.memory(), request.input);
   energy::ProcessorEnergyModel model = snap->model;  // resume mid-trace
-  // Splice the shared prefix in front, with room for the whole window.
-  std::vector<double> samples;
-  samples.reserve(std::max<std::uint64_t>(
-      std::min(stop, kMaxTraceReserve), snap->prefix.size()));
-  samples.insert(samples.end(), snap->prefix.samples().begin(),
-                 snap->prefix.samples().end());
   EncryptionRun run = drive(pipeline, model, masked_.program,
-                            analysis::Trace(std::move(samples)), stop);
+                            snap->prefix.samples(), stop,
+                            snap->machine.config.max_cycles);
   run.forked = true;
   return run;
 }

@@ -144,10 +144,8 @@ class MaskingPipeline {
   [[nodiscard]] RunMachine prepare(const BatchInput& input) const;
 
   /// True when the compiled program carries the cbc_chain `iv` symbol —
-  /// run() then pokes BatchInput::iv.
-  [[nodiscard]] bool has_iv() const {
-    return des::has_iv_symbol(masked_.program);
-  }
+  /// run() then pokes BatchInput::iv.  Looked up once, at construction.
+  [[nodiscard]] bool has_iv() const { return has_iv_; }
 
   /// True when the compiled program declares a `fork` marker (the DES
   /// generator emits one under DesAsmOptions::hoist_key_schedule).
@@ -225,6 +223,7 @@ class MaskingPipeline {
   sim::SimConfig sim_config_;
   std::uint64_t hiding_seed_ = 0x9E3779B97F4A7C15ull;
   bool des_inputs_ = false;  // built by des(): run() pokes key/plaintext/iv
+  bool has_iv_ = false;      // des::has_iv_symbol(masked_.program)
 };
 
 }  // namespace emask::core

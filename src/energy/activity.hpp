@@ -2,7 +2,9 @@
 // pipeline simulator (producer) and the energy model (consumer).
 //
 // The simulator fills one CycleActivity per clock; the energy model converts
-// it into joules.  Keeping the two decoupled mirrors SimplePower's split
+// it into joules.  sim::Pipeline::step() writes every field of the record
+// every cycle, idle or busy, so a caller may hand it the same record each
+// clock without clearing it.  Keeping the two decoupled mirrors SimplePower's split
 // between the performance simulator and the energy estimation back end, and
 // lets tests drive the energy model with synthetic activity.
 #pragma once
@@ -20,6 +22,8 @@ struct LatchWrite {
   bool secure = false;   // latch operates in dual-rail pre-charged mode
   std::uint64_t payload = 0;
   int width = 64;
+
+  bool operator==(const LatchWrite&) const = default;
 };
 
 /// Functional-unit activity in EX.
@@ -30,6 +34,8 @@ struct ExecActivity {
   std::uint32_t a = 0;       // operand A
   std::uint32_t b = 0;       // operand B
   std::uint32_t result = 0;  // unit output
+
+  bool operator==(const ExecActivity&) const = default;
 };
 
 /// Data-memory activity in MEM.
@@ -39,6 +45,8 @@ struct MemActivity {
   bool secure = false;       // secure load/store: dual-rail address+data path
   std::uint32_t address = 0;
   std::uint32_t data = 0;    // word read or written
+
+  bool operator==(const MemActivity&) const = default;
 };
 
 struct CycleActivity {
@@ -69,6 +77,8 @@ struct CycleActivity {
   LatchWrite id_ex;
   LatchWrite ex_mem;
   LatchWrite mem_wb;
+
+  bool operator==(const CycleActivity&) const = default;
 };
 
 }  // namespace emask::energy

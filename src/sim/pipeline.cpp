@@ -117,6 +117,7 @@ void Pipeline::use_text(const DecodedText* decoded) {
         " instructions, the program " + std::to_string(program_.text.size()));
   }
   text_ = decoded->data();
+  text_size_ = program_.text.size();
 }
 
 Pipeline::Pipeline(const assembler::Program& program, SimConfig config,
@@ -149,11 +150,11 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot,
       halted_(snapshot.halted),
       halt_seen_(snapshot.halt_seen) {
   use_text(decoded);
-  if (snapshot.text_size != program_.text.size()) {
+  if (snapshot.text_size != text_size_) {
     throw std::invalid_argument(
         "Pipeline: snapshot was captured from a different program (text size " +
         std::to_string(snapshot.text_size) + " vs " +
-        std::to_string(program_.text.size()) + ")");
+        std::to_string(text_size_) + ")");
   }
 }
 
@@ -174,7 +175,7 @@ Snapshot Pipeline::snapshot() const {
                   .miss_stall_remaining = miss_stall_remaining_,
                   .halted = halted_,
                   .halt_seen = halt_seen_,
-                  .text_size = program_.text.size()};
+                  .text_size = text_size_};
 }
 
 // Inline: EX asks for up to two operands every cycle.
@@ -195,14 +196,20 @@ inline std::uint32_t Pipeline::forwarded(isa::Reg r,
 }
 
 bool Pipeline::step(energy::CycleActivity& activity) {
-  activity = energy::CycleActivity{};
-  if (halted_) return false;
+  // Every stage below writes its own part of `activity` once, idle or
+  // busy, so the record is never cleared as a whole on the running path;
+  // only the two cold returns hand out a fresh all-idle record.
+  if (halted_) [[unlikely]] {
+    activity = energy::CycleActivity{};
+    return false;
+  }
   ++cycles_;
 
   // A data-cache miss blocks the whole (in-order, blocking-cache) pipeline;
   // only the clock tree burns energy while the line is refilled.
-  if (miss_stall_remaining_ > 0) {
+  if (miss_stall_remaining_ > 0) [[unlikely]] {
     --miss_stall_remaining_;
+    activity = energy::CycleActivity{};
     return !halted_;
   }
 
@@ -213,33 +220,38 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   const MemWb mem_wb = mem_wb_;
 
   // ---- WB (first half of the cycle: writes are visible to ID reads) ----
+  bool rf_write = false;
+  bool wb_secure = false;
   if (mem_wb.valid) {
     const DecodedInst& inst = text_[mem_wb.pc];
     if (inst.dest != kNoReg) regs_[inst.dest] = mem_wb.value;
     ++retired_;
-    activity.rf_write = inst.dest != kNoReg;
-    activity.wb_secure = inst.secure;
-    activity.retired = true;
-    activity.retire_pc = mem_wb.pc;
+    rf_write = inst.dest != kNoReg;
+    wb_secure = inst.secure;
     if (inst.halt) halted_ = true;
   }
+  activity.rf_write = rf_write;
+  activity.wb_secure = wb_secure;
+  activity.retired = mem_wb.valid;
+  activity.retire_pc = mem_wb.valid ? mem_wb.pc : 0;
 
   // ---- MEM ----
   MemWb next_mem_wb;
+  energy::MemActivity mem;  // idle unless a load or store
   if (ex_mem.valid) {
     const DecodedInst& inst = text_[ex_mem.pc];
     std::uint32_t value = ex_mem.alu;
     if (inst.is_load) {
       value = dmem_.load_word(ex_mem.alu);
-      activity.mem.read = true;
+      mem.read = true;
     } else if (inst.is_store) {
       dmem_.store_word(ex_mem.alu, ex_mem.store_data);
-      activity.mem.write = true;
+      mem.write = true;
     }
     if (inst.is_load || inst.is_store) {
-      activity.mem.secure = inst.secure;
-      activity.mem.address = ex_mem.alu;
-      activity.mem.data = inst.is_load ? value : ex_mem.store_data;
+      mem.secure = inst.secure;
+      mem.address = ex_mem.alu;
+      mem.data = inst.is_load ? value : ex_mem.store_data;
       if (dcache_ && !dcache_->access(ex_mem.alu)) {
         // Blocking miss: the access completes architecturally now; the
         // refill penalty freezes the machine for the following cycles.
@@ -248,6 +260,7 @@ bool Pipeline::step(energy::CycleActivity& activity) {
     }
     next_mem_wb = MemWb{true, ex_mem.pc, value};
   }
+  activity.mem = mem;
 
   // ---- EX ----
   ExMem next_ex_mem;
@@ -265,17 +278,16 @@ bool Pipeline::step(energy::CycleActivity& activity) {
       flush = true;
       flush_target = out.target;
     }
-    activity.ex.valid = true;
-    activity.ex.unit = inst.unit;
-    activity.ex.secure = inst.secure;
-    activity.ex.a = a;
-    activity.ex.b = b;
-    activity.ex.result = out.result;
+    activity.ex = energy::ExecActivity{true, inst.unit, inst.secure, a, b,
+                                       out.result};
+  } else {
+    activity.ex = energy::ExecActivity{};
   }
 
   // ---- ID (with load-use interlock against the instruction in EX) ----
   IdEx next_id_ex;
   bool stall = false;
+  int reads = 0;
   if (if_id.valid) {
     const DecodedInst& inst = text_[if_id.pc];
     if (id_ex.valid) {
@@ -298,7 +310,6 @@ bool Pipeline::step(energy::CycleActivity& activity) {
         return (id_ex.valid && text_[id_ex.pc].dest == r) ||
                (ex_mem.valid && text_[ex_mem.pc].dest == r);
       };
-      int reads = 0;
       const auto port = [&](isa::Reg r) -> std::uint32_t {
         if (r == kNoReg) return 0u;
         if (config_.operand_isolation && will_forward(r)) return 0u;
@@ -306,17 +317,17 @@ bool Pipeline::step(energy::CycleActivity& activity) {
         return regs_[r];
       };
       next_id_ex = IdEx{true, if_id.pc, port(inst.src1), port(inst.src2)};
-      activity.decode = true;
-      activity.rf_reads = reads;
     }
   }
+  activity.decode = next_id_ex.valid;
+  activity.rf_reads = reads;
 
   // ---- IF ----
   IfId next_if_id = if_id;  // default: hold on stall
   bool fetched = false;
   std::uint64_t fetch_bits = 0;
   if (!stall) {
-    if (!halt_seen_ && pc_ < program_.text.size()) {
+    if (!halt_seen_ && pc_ < text_size_) {
       const DecodedInst& inst = text_[pc_];
       fetch_bits = inst.encoded;
       next_if_id = IfId{true, pc_};
@@ -342,7 +353,7 @@ bool Pipeline::step(energy::CycleActivity& activity) {
     next_id_ex = IdEx{};
     pc_ = flush_target;
     halt_seen_ = false;  // fetch resumes at the target
-    if (pc_ >= program_.text.size()) {
+    if (pc_ >= text_size_) {
       throw std::runtime_error("Pipeline: jump outside text to " +
                                std::to_string(pc_));
     }
@@ -350,27 +361,30 @@ bool Pipeline::step(energy::CycleActivity& activity) {
 
   // ---- Latch energy activity (writes occurring at this clock edge) ----
   // Clock-gated: bubbles and held (stalled) latches are not rewritten.
-  if (fetched && !flush) {
-    activity.if_id = energy::LatchWrite{true, false, fetch_bits, 33};
-  }
-  if (next_id_ex.valid && !flush) {
-    activity.id_ex = energy::LatchWrite{
-        true, text_[next_id_ex.pc].secure,
-        static_cast<std::uint64_t>(next_id_ex.a) |
-            (static_cast<std::uint64_t>(next_id_ex.b) << 32),
-        64};
-  }
-  if (next_ex_mem.valid) {
-    activity.ex_mem = energy::LatchWrite{
-        true, text_[next_ex_mem.pc].secure,
-        static_cast<std::uint64_t>(next_ex_mem.alu) |
-            (static_cast<std::uint64_t>(next_ex_mem.store_data) << 32),
-        64};
-  }
-  if (next_mem_wb.valid) {
-    activity.mem_wb = energy::LatchWrite{true, text_[next_mem_wb.pc].secure,
-                                         next_mem_wb.value, 32};
-  }
+  activity.if_id = fetched && !flush
+                       ? energy::LatchWrite{true, false, fetch_bits, 33}
+                       : energy::LatchWrite{};
+  activity.id_ex =
+      next_id_ex.valid && !flush
+          ? energy::LatchWrite{true, text_[next_id_ex.pc].secure,
+                               static_cast<std::uint64_t>(next_id_ex.a) |
+                                   (static_cast<std::uint64_t>(next_id_ex.b)
+                                    << 32),
+                               64}
+          : energy::LatchWrite{};
+  activity.ex_mem =
+      next_ex_mem.valid
+          ? energy::LatchWrite{true, text_[next_ex_mem.pc].secure,
+                               static_cast<std::uint64_t>(next_ex_mem.alu) |
+                                   (static_cast<std::uint64_t>(
+                                        next_ex_mem.store_data)
+                                    << 32),
+                               64}
+          : energy::LatchWrite{};
+  activity.mem_wb = next_mem_wb.valid
+                        ? energy::LatchWrite{true, text_[next_mem_wb.pc].secure,
+                                             next_mem_wb.value, 32}
+                        : energy::LatchWrite{};
 
   // ---- Commit ----
   // On a stall next_id_ex is the default bubble; on a flush it was squashed
@@ -380,7 +394,7 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   ex_mem_ = next_ex_mem;
   mem_wb_ = next_mem_wb;
 
-  if (!halted_ && !halt_seen_ && pc_ >= program_.text.size() &&
+  if (!halted_ && !halt_seen_ && pc_ >= text_size_ &&
       !if_id_.valid && !id_ex_.valid && !ex_mem_.valid && !mem_wb_.valid) {
     throw std::runtime_error("Pipeline: pc ran off the end of text at " +
                              std::to_string(pc_));

@@ -114,8 +114,9 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline(Pipeline&&) = default;
 
-  /// Advances one clock.  Fills `activity` with what happened.  Returns
-  /// false once the machine has halted (activity is then all-idle).
+  /// Advances one clock.  Writes every field of `activity` (whatever it held
+  /// before) with what happened.  Returns false once the machine has halted
+  /// (activity is then all-idle).
   bool step(energy::CycleActivity& activity);
 
   /// Runs to halt (or the cycle limit, which throws).  Invokes
@@ -173,6 +174,7 @@ class Pipeline {
   const assembler::Program& program_;
   DecodedText own_text_;  // filled only when no table was borrowed
   const DecodedInst* text_ = nullptr;
+  std::size_t text_size_ = 0;  // program_.text.size(), read every cycle
   SimConfig config_;
   DataMemory dmem_;
 

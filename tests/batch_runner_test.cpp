@@ -9,6 +9,7 @@
 #include "analysis/trace_io.hpp"
 #include "core/batch_runner.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emask::core {
 namespace {
@@ -135,7 +136,7 @@ TEST(BatchRunner, StatsAggregateInSerialOrder) {
 }
 
 TEST(BatchRunner, StreamsToFileIdenticalToInMemoryCapture) {
-  const std::string path = ::testing::TempDir() + "/batch.emts";
+  const std::string path = test::temp_path("batch.emts").string();
   BatchRunner runner(device(), config(4));
   const BatchStats file_stats = runner.capture_to_file(
       path, kTraces, random_plaintexts(kKey, kSeed));

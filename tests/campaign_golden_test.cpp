@@ -20,6 +20,7 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "temp_path.hpp"
 
 namespace emask::campaign {
 namespace {
@@ -67,8 +68,7 @@ std::string blank_generator(std::string manifest) {
 }
 
 Digests run_digests(const std::string& name, const std::string& spec_text) {
-  const fs::path out =
-      fs::path(::testing::TempDir()) / ("emask_golden_" + name);
+  const fs::path out = test::temp_path("emask_golden_" + name);
   fs::remove_all(out);
   RunnerOptions options;
   options.out_dir = out.string();

@@ -12,6 +12,7 @@
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "temp_path.hpp"
 
 namespace emask::campaign {
 namespace {
@@ -204,7 +205,7 @@ TEST(Spec, HashIsStableAndTextSensitive) {
 // ------------------------------------------------------------ checkpoints
 
 TEST(Checkpoint, RoundTripsThroughDisk) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_ckpt_test";
+  const fs::path dir = test::temp_path("emask_ckpt_test");
   fs::create_directories(dir);
   Scenario s;
   s.id = "0000-des-original-energy-n0-t1-c0";
@@ -251,7 +252,7 @@ TEST(Checkpoint, RoundTripsThroughDisk) {
 
 TEST(Checkpoint, LegacyIniCheckpointIsIgnored) {
   const CampaignSpec spec = CampaignSpec::parse(kMinimalSpec);
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_legacy_ckpt";
+  const fs::path dir = test::temp_path("emask_legacy_ckpt");
   fs::remove_all(dir);
   RunnerOptions options;
   options.out_dir = dir.string();
@@ -286,7 +287,7 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
       "original = 46.4\n"
       "selective = 52.6\n";
   const CampaignSpec spec = CampaignSpec::parse(spec_text);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_resume_test";
+  const fs::path base = test::temp_path("emask_resume_test");
   fs::remove_all(base);
   const fs::path dir_a = base / "uninterrupted";
   const fs::path dir_b = base / "interrupted";
@@ -388,7 +389,7 @@ TEST(Shard, CheckpointHashIsPartitionSpecific) {
 }
 
 TEST(Checkpoint, OtherPartitionsCheckpointIsStale) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_shard_ckpt";
+  const fs::path dir = test::temp_path("emask_shard_ckpt");
   fs::create_directories(dir);
   Scenario s;
   s.id = "0000-des-original-energy-n0-t1-c0";
@@ -433,7 +434,7 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
       "policy = original, selective, all_secure\n"
       "analysis = energy, cpa, tvla\n"
       "traces = 4\n");
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_shard_merge";
+  const fs::path base = test::temp_path("emask_shard_merge");
   fs::remove_all(base);
 
   RunnerOptions full;
@@ -490,7 +491,7 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
 
 TEST(Runner, ShardedResumeIgnoresUnshardedCheckpoints) {
   const CampaignSpec spec = CampaignSpec::parse(kMinimalSpec);
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_shard_guard";
+  const fs::path dir = test::temp_path("emask_shard_guard");
   fs::remove_all(dir);
   RunnerOptions options;
   options.out_dir = dir.string();
@@ -510,8 +511,7 @@ TEST(Runner, ShardedResumeIgnoresUnshardedCheckpoints) {
 TEST(Runner, ShardOwningNoScenariosIsError) {
   const CampaignSpec spec = CampaignSpec::parse(kMinimalSpec);  // 1 scenario
   RunnerOptions options;
-  options.out_dir =
-      (fs::path(::testing::TempDir()) / "emask_shard_empty").string();
+  options.out_dir = test::temp_path("emask_shard_empty").string();
   options.quiet = true;
   options.shard = ShardSpec::parse("1/2");
   EXPECT_THROW((void)CampaignRunner(spec, options).run(), SpecError);
@@ -563,7 +563,7 @@ struct MergeFixture {
   MergeOptions options;
 
   explicit MergeFixture(const char* name) {
-    base = fs::path(::testing::TempDir()) / name;
+    base = test::temp_path(name);
     fs::remove_all(base);
     options.out_dir = (base / "merged").string();
     options.quiet = true;
@@ -679,7 +679,7 @@ TEST(Merge, MissingScenarioIsError) {
 }
 
 TEST(Runner, RerunWithDifferentSpecInSameDirIsError) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_guard_test";
+  const fs::path dir = test::temp_path("emask_guard_test");
   fs::remove_all(dir);
   RunnerOptions options;
   options.out_dir = dir.string();

@@ -1,6 +1,7 @@
 // Core MaskingPipeline API behaviours.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "assembler/assembler.hpp"
@@ -348,6 +349,32 @@ TEST(ColdRun, ShuffleNopMatchesPokedProgramCopy) {
                     run_poked_image(p, {des::block_poke("key", kKey),
                                         des::block_poke("plain", pt),
                                         des::nop_schedule_poke(delays)}));
+  }
+}
+
+// A run reserves its trace once, before the first cycle: the whole cycle
+// budget, capped at 2^18 samples, and never less than a fork's prefix.  A
+// trace that grew while running ends with a capacity nobody reserved (2^18
+// under libstdc++'s doubling for a full DES run, which is why one budget
+// sits below the cap).
+TEST(ColdRun, FullRunTraceIsReservedOnce) {
+  MaskingPipeline p = forkable(compiler::Policy::kOriginal);
+  for (const std::uint64_t budget :
+       {std::uint64_t{150'000}, sim::SimConfig{}.max_cycles}) {
+    SCOPED_TRACE(budget);
+    sim::SimConfig config;
+    config.max_cycles = budget;
+    p.set_sim_config(config);
+    const std::size_t reserved =
+        std::min<std::uint64_t>(budget, std::uint64_t{1} << 18);
+    const DesSnapshot snap = p.snapshot_des(kKey);
+    const EncryptionRun cold = p.run_des(kKey, kPlain);
+    const EncryptionRun forked = p.run_des_from(snap, kPlain);
+    ASSERT_TRUE(forked.forked);
+    ASSERT_EQ(cold.trace.size(), cold.sim.cycles);
+    ASSERT_LT(cold.trace.size(), reserved);
+    EXPECT_EQ(cold.trace.samples().capacity(), reserved);
+    EXPECT_EQ(forked.trace.samples().capacity(), reserved);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "core/masking_pipeline.hpp"
 #include "core/phase_profile.hpp"
 #include "hiding/policy.hpp"
+#include "temp_path.hpp"
 
 namespace emask::core {
 namespace {
@@ -253,7 +254,7 @@ TEST(HidingCampaign, JobsAndResumeAreByteIdentical) {
       "analysis = energy, cpa\n"
       "traces = 4\n";
   const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(spec_text);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_hiding_zoo";
+  const fs::path base = test::temp_path("emask_hiding_zoo");
   fs::remove_all(base);
   const fs::path dir_a = base / "straight";
   const fs::path dir_b = base / "resumed";

@@ -22,6 +22,7 @@
 #include "campaign/spec.hpp"
 #include "report/model.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emask {
 namespace {
@@ -97,8 +98,10 @@ constexpr const char* kAsm =
     ".end main\n";
 
 /// One mutant of `text`: 1-4 byte flips, a truncation, or a dropped line.
+/// Empty text has no byte to flip or cut and is returned as it is.
 std::string mutate(const std::string& text, util::Rng& rng) {
   std::string out = text;
+  if (out.empty()) return out;
   switch (rng.next_below(3)) {
     case 0: {
       const std::uint64_t flips = 1 + rng.next_below(4);
@@ -173,6 +176,12 @@ void expect_parse_or_throw(const std::string& base, std::uint64_t seed,
   EXPECT_GT(thrown, 0);
 }
 
+// The helper itself never divides by an empty input's length.
+TEST(ParserMutation, EmptyTextMutatesToItself) {
+  util::Rng rng(0xE4);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(mutate("", rng), "");
+}
+
 TEST(ParserMutation, CampaignSpecParsesOrThrows) {
   expect_parse_or_throw(kSpec, 0x5BEC, [](const std::string& text) {
     (void)campaign::CampaignSpec::parse(text).expand();
@@ -181,7 +190,7 @@ TEST(ParserMutation, CampaignSpecParsesOrThrows) {
 
 TEST(ParserMutation, ReportManifestLoadsOrThrows) {
   const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(kSpec);
-  const fs::path dir = fs::path(::testing::TempDir()) / "emask_mutant_report";
+  const fs::path dir = test::temp_path("emask_mutant_report");
   fs::remove_all(dir);
   fs::create_directories(dir);
   const fs::path manifest = dir / "manifest.json";
@@ -197,7 +206,7 @@ TEST(ParserMutation, ReportManifestLoadsOrThrows) {
 
 TEST(ParserMutation, ShardManifestMergesOrThrows) {
   const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(kSpec);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_mutant_merge";
+  const fs::path base = test::temp_path("emask_mutant_merge");
   fs::remove_all(base);
   campaign::MergeOptions options;
   options.out_dir = (base / "merged").string();
@@ -234,8 +243,7 @@ TEST(ParserMutation, TraceSetLoadsOrThrows) {
     }
     set.add(0x0123456789ABCDEFull ^ i, analysis::Trace(std::move(samples)));
   }
-  const fs::path path =
-      fs::path(::testing::TempDir()) / "emask_mutant_traces.emts";
+  const fs::path path = test::temp_path("emask_mutant_traces.emts");
   analysis::save_trace_set(path.string(), set);
   (void)analysis::load_trace_set(path.string());  // the unmutated file loads
 

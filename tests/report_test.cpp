@@ -15,6 +15,7 @@
 #include "report/model.hpp"
 #include "report/svg.hpp"
 #include "util/fsio.hpp"
+#include "temp_path.hpp"
 
 namespace emask::report {
 namespace {
@@ -118,7 +119,7 @@ std::string manifest_json(const std::vector<Row>& rows, bool sharded = false,
 /// Writes the manifest + per-scenario artifact CSVs into a fresh temp dir.
 fs::path write_fixture(const std::string& tag, const std::vector<Row>& rows,
                        bool sharded = false) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("report_" + tag);
+  const fs::path dir = test::temp_path("report_" + tag);
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string name =
@@ -225,8 +226,7 @@ TEST(ReportModel, LoadsShardManifestWithProvenance) {
 }
 
 TEST(ReportModel, RejectsDirectoryWithoutManifest) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "report_no_manifest";
+  const fs::path dir = test::temp_path("report_no_manifest");
   fs::remove_all(dir);
   fs::create_directories(dir);
   EXPECT_THROW((void)Model::load(dir.string()), ReportError);

@@ -19,6 +19,7 @@
 #include "des/des.hpp"
 #include "session/session.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emask {
 namespace {
@@ -410,7 +411,7 @@ std::vector<fs::path> scenario_files(const fs::path& dir, const char* name) {
 TEST(SessionCampaign, ArtifactsAreByteIdenticalAcrossJobCounts) {
   const campaign::CampaignSpec spec =
       campaign::CampaignSpec::parse(kSessionSpec);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_jobs";
+  const fs::path base = test::temp_path("emask_sess_jobs");
   fs::remove_all(base);
 
   std::vector<fs::path> dirs;
@@ -445,7 +446,7 @@ TEST(SessionCampaign, ArtifactsAreByteIdenticalAcrossJobCounts) {
 TEST(SessionCampaign, ResumeIsByteIdentical) {
   const campaign::CampaignSpec spec =
       campaign::CampaignSpec::parse(kSessionSpec);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_resume";
+  const fs::path base = test::temp_path("emask_sess_resume");
   fs::remove_all(base);
 
   campaign::RunnerOptions straight;
@@ -489,7 +490,7 @@ TEST(SessionCampaign, AttackDisclosureIsByteIdenticalAcrossJobs) {
       "[campaign]\nname = session_attack\n[axes]\n"
       "policy = original\ncipher = des_cbc\nanalysis = dpa\n"
       "session_length = 16\n");
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_attack";
+  const fs::path base = test::temp_path("emask_sess_attack");
   fs::remove_all(base);
 
   std::vector<fs::path> dirs;
@@ -518,7 +519,7 @@ TEST(SessionCampaign, DefaultJobsReportWorkerThreads) {
       "[campaign]\nname = session_threads\n[axes]\n"
       "policy = original\ncipher = des_cbc, tdes_cbc\n"
       "analysis = energy, cpa\nsession_length = 4\n");
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_threads";
+  const fs::path base = test::temp_path("emask_sess_threads");
   fs::remove_all(base);
   campaign::RunnerOptions options;
   options.out_dir = base.string();

@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "assembler/assembler.hpp"
+#include "core/masking_pipeline.hpp"
 #include "des/asm_generator.hpp"
 #include "isa/encoding.hpp"
 #include "sim/decoded.hpp"
@@ -547,6 +549,50 @@ main:
   // cycle but only one write survives).
   EXPECT_EQ(idex_writes, 5);
   EXPECT_GT(cycles, 5u);
+}
+
+// step() writes every field of the activity record every cycle, so a
+// record reused across cycles (never cleared, and full of garbage before
+// the first one) reads exactly like a fresh one — on busy cycles, on
+// data-cache miss stalls, and once the machine has halted.
+void expect_step_writes_every_field(const core::MaskingPipeline& device) {
+  const core::BatchInput input{0x133457799BBCDFF1ull, 0x0123456789ABCDEFull};
+  core::RunMachine fresh = device.prepare(input);
+  core::RunMachine reused = device.prepare(input);
+  energy::CycleActivity dirty;
+  std::memset(static_cast<void*>(&dirty), 0xA5, sizeof dirty);
+  std::uint64_t cycle = 0;
+  int halted_steps = 0;
+  while (halted_steps < 2) {
+    energy::CycleActivity clean;
+    const bool more = fresh.machine.step(clean);
+    ASSERT_EQ(reused.machine.step(dirty), more) << "cycle " << cycle;
+    ASSERT_TRUE(clean == dirty) << "cycle " << cycle;
+    if (!more) ++halted_steps;
+    ++cycle;
+  }
+  EXPECT_GT(cycle, 100'000u);
+  if (device.sim_config().dcache) {
+    // The miss-stall return ran too.
+    ASSERT_NE(fresh.machine.dcache(), nullptr);
+    EXPECT_GT(fresh.machine.dcache()->misses(), 0u);
+  }
+}
+
+TEST(Pipeline, StepWritesEveryActivityFieldEachCycle) {
+  expect_step_writes_every_field(
+      core::MaskingPipeline::des(compiler::Policy::kOriginal));
+  expect_step_writes_every_field(
+      core::MaskingPipeline::des(compiler::Policy::kAllSecure));
+  expect_step_writes_every_field(core::MaskingPipeline::des(
+      {compiler::Policy::kOriginal, hiding::HidingPolicy::kShuffleNop}));
+
+  core::MaskingPipeline cached =
+      core::MaskingPipeline::des(compiler::Policy::kOriginal);
+  SimConfig config;
+  config.dcache = CacheConfig{};
+  cached.set_sim_config(config);
+  expect_step_writes_every_field(cached);
 }
 
 // A looping store-heavy program for the snapshot tests: writes i to out[i]

@@ -22,6 +22,7 @@
 #include "campaign/spec.hpp"
 #include "des/des.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emask {
 namespace {
@@ -308,7 +309,7 @@ std::vector<fs::path> disclosure_files(const fs::path& dir) {
 TEST(AdversaryRunner, DisclosureIsByteIdenticalAcrossThreadCounts) {
   const campaign::CampaignSpec spec =
       campaign::CampaignSpec::parse(kAttackSpec);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_adv_jobs";
+  const fs::path base = test::temp_path("emask_adv_jobs");
   fs::remove_all(base);
 
   std::vector<fs::path> dirs;
@@ -338,7 +339,7 @@ TEST(AdversaryRunner, DisclosureIsByteIdenticalAcrossThreadCounts) {
 TEST(AdversaryRunner, DisclosureSurvivesInterruptAndResume) {
   const campaign::CampaignSpec spec =
       campaign::CampaignSpec::parse(kAttackSpec);
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_adv_resume";
+  const fs::path base = test::temp_path("emask_adv_resume");
   fs::remove_all(base);
 
   campaign::RunnerOptions straight;

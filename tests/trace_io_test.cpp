@@ -6,12 +6,13 @@
 
 #include "analysis/trace_io.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emask::analysis {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return test::temp_path("").string() + name;
 }
 
 TEST(TraceIo, RoundTrip) {

@@ -15,6 +15,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "temp_path.hpp"
 
 namespace emask::util {
 namespace {
@@ -151,7 +152,7 @@ TEST(Stats, WelchTSeparatesDistinctMeans) {
 }
 
 TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = ::testing::TempDir() + "/emask_csv_test.csv";
+  const std::string path = test::temp_path("emask_csv_test.csv").string();
   {
     CsvWriter csv(path);
     csv.write_header({"a", "b"});
@@ -170,7 +171,7 @@ TEST(Csv, WritesHeaderAndRows) {
 TEST(Csv, CreatesMissingOutputDirectory) {
   // The writer owns directory creation: pointing it into a directory that
   // does not exist yet must succeed, not silently truncate or throw.
-  const std::string dir = ::testing::TempDir() + "/emask_csv_mkdir/a/b";
+  const std::string dir = test::temp_path("emask_csv_mkdir/a/b").string();
   const std::string path = dir + "/out.csv";
   {
     CsvWriter csv(path);
@@ -180,7 +181,7 @@ TEST(Csv, CreatesMissingOutputDirectory) {
   }
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
-  std::filesystem::remove_all(::testing::TempDir() + "/emask_csv_mkdir");
+  std::filesystem::remove_all(test::temp_path("emask_csv_mkdir"));
 }
 
 TEST(Csv, ThrowsOnUnopenablePath) {
@@ -190,7 +191,7 @@ TEST(Csv, ThrowsOnUnopenablePath) {
 }
 
 TEST(Fsio, OpenForWriteCreatesNestedDirectories) {
-  const std::string root = ::testing::TempDir() + "/emask_fsio_test";
+  const std::string root = test::temp_path("emask_fsio_test").string();
   const std::string path = root + "/x/y/z.txt";
   {
     std::ofstream out = open_for_write(path);
@@ -271,7 +272,7 @@ TEST(Csv, EscapeFollowsRfc4180) {
 }
 
 TEST(Csv, StringRowsAreEscaped) {
-  const std::string path = ::testing::TempDir() + "/emask_csv_str_test.csv";
+  const std::string path = test::temp_path("emask_csv_str_test.csv").string();
   {
     CsvWriter csv(path);
     csv.write_header({"id", "note"});
