@@ -16,7 +16,7 @@
 
 #include "analysis/trace.hpp"
 #include "core/masking_pipeline.hpp"
-#include "sim/pipeline.hpp"
+#include "core/phase_profile.hpp"
 #include "util/csv.hpp"
 #include "util/fsio.hpp"
 #include "util/json.hpp"
@@ -54,42 +54,6 @@ inline std::string out_dir() {
   }
   fs::create_directories(dir);
   return dir.string();
-}
-
-/// Cycle numbers at which the instruction at text label `label` *retires*
-/// (one entry per execution; wrong-path fetches after taken branches do not
-/// count).  Used to locate program phases — e.g. the start of every DES
-/// round — on the trace's cycle axis.
-inline std::vector<std::uint64_t> label_fetch_cycles(
-    const assembler::Program& program, const std::string& label) {
-  const auto it = program.text_labels.find(label);
-  if (it == program.text_labels.end()) return {};
-  const std::uint32_t target = it->second;
-  std::vector<std::uint64_t> cycles;
-  sim::Pipeline p(program);
-  energy::CycleActivity a;
-  while (p.step(a)) {
-    if (a.retired && a.retire_pc == target) cycles.push_back(p.cycles());
-  }
-  return cycles;
-}
-
-/// [begin, end) cycle window of DES round `n` (1-based) for this program.
-struct Window {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-inline Window round_window(const assembler::Program& program, int n) {
-  const auto starts = label_fetch_cycles(program, "round_loop");
-  Window w;
-  if (static_cast<std::size_t>(n) <= starts.size()) {
-    w.begin = starts[static_cast<std::size_t>(n - 1)];
-    w.end = (static_cast<std::size_t>(n) < starts.size())
-                ? static_cast<std::size_t>(starts[static_cast<std::size_t>(n)])
-                : w.begin;
-  }
-  return w;
 }
 
 inline void print_banner(const char* id, const char* what) {

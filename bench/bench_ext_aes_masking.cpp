@@ -73,11 +73,10 @@ int main() {
   // Round-1 window on the cycle axis (policy-independent layout).
   const auto layout =
       core::MaskingPipeline::from_source(source, compiler::Policy::kOriginal);
-  const auto rounds = bench::label_fetch_cycles(layout.program(), "round_loop");
-  const std::size_t w_begin = rounds.empty() ? 0 : rounds[0];
-  const std::size_t w_end = rounds.size() > 1
-                                ? static_cast<std::size_t>(rounds[1])
-                                : w_begin + 2000;
+  const auto rounds =
+      core::label_retire_cycles(layout.program(), {{"round_loop", 2}})[0];
+  const std::size_t w_begin = rounds[0];
+  const std::size_t w_end = rounds[1];
 
   // CPA on key byte 0 against both devices.
   const int target_byte = 0;

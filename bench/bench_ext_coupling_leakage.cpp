@@ -23,15 +23,15 @@ using namespace emask;
 namespace {
 
 double masked_key_differential(const energy::TechParams& params,
-                               const bench::Window& round1) {
+                               const std::vector<std::uint64_t>& round1) {
   const auto masked =
       core::MaskingPipeline::des(compiler::Policy::kSelective, params);
-  const auto d = masked.run_des(bench::kKey, bench::kPlain, round1.end)
+  const auto d = masked.run_des(bench::kKey, bench::kPlain, round1[1])
                      .trace.difference(
                          masked.run_des(bench::kKeyBitFlipped, bench::kPlain,
-                                        round1.end)
+                                        round1[1])
                              .trace);
-  return d.slice(round1.begin, round1.end).max_abs();
+  return d.slice(round1[0], round1[1]).max_abs();
 }
 
 }  // namespace
@@ -41,7 +41,9 @@ int main() {
                       "Residual leakage of dual-rail masking under "
                       "adjacent-line bus coupling (the paper's conclusion).");
   const auto layout = core::MaskingPipeline::des(compiler::Policy::kOriginal);
-  const bench::Window round1 = bench::round_window(layout.program(), 1);
+  // Round 1 = cycles [round1[0], round1[1]).
+  const auto round1 =
+      core::label_retire_cycles(layout.program(), {{"round_loop", 2}})[0];
 
   util::CsvWriter csv(bench::out_dir() + "/ext_coupling_leakage.csv");
   csv.write_header({"coupling_ff", "masked_round1_key_diff_pj"});
@@ -68,14 +70,14 @@ int main() {
       energy::TechParams::smartcard_025um_with_coupling(20e-15));
   analysis::CpaConfig cfg;
   cfg.sbox = 0;
-  cfg.window_begin = round1.begin;
-  cfg.window_end = round1.end;
+  cfg.window_begin = round1[0];
+  cfg.window_end = round1[1];
   analysis::CpaAttack attack(cfg);
   util::Rng rng(11);
   for (int i = 0; i < 400; ++i) {
     const std::uint64_t pt = rng.next_u64();
     attack.add_trace(pt,
-                     masked.run_des(bench::kKey, pt, round1.end).trace);
+                     masked.run_des(bench::kKey, pt, round1[1]).trace);
   }
   const analysis::CpaResult r = attack.solve();
   const int truth = analysis::DpaAttack::true_subkey_chunk(bench::kKey, 0);

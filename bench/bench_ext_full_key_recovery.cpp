@@ -20,16 +20,12 @@ int main() {
   constexpr int kTraces = 500;
   const std::uint64_t key = bench::kKey;
 
-  const auto layout = core::MaskingPipeline::des(compiler::Policy::kOriginal);
-  const bench::Window round1 = bench::round_window(layout.program(), 1);
   const auto device = core::MaskingPipeline::des(compiler::Policy::kOriginal);
 
   // Window each attack to its own S-box iteration of round 1 (the attacker
   // gets this alignment from SPA, Fig. 6): correlating only where S-box s
   // is actually computed suppresses the ghost peaks that neighbouring
   // S-boxes' data would otherwise induce.
-  const auto sbox_starts =
-      bench::label_fetch_cycles(layout.program(), "sbox_loop");
   // One acquisition pass; per S-box, one single-bit CPA engine per output
   // bit (DES stores each S-box output bit as its own word, so the exact
   // power model is the single predicted bit, not the 4-bit Hamming
@@ -37,13 +33,11 @@ int main() {
   // S4(x ^ 2F) = ~S4(x) makes the true chunk and its complement partner
   // indistinguishable under |rho|.
   std::vector<std::vector<analysis::GenericCpa>> engines(8);
+  core::SboxWindow w;
   for (int s = 0; s < 8; ++s) {
-    const std::size_t begin = sbox_starts[static_cast<std::size_t>(s)];
-    const std::size_t end = (s < 7)
-                                ? sbox_starts[static_cast<std::size_t>(s + 1)]
-                                : round1.end;
+    w = core::des_round1_sbox_window(device.program(), s);
     for (int bit = 0; bit < 4; ++bit) {
-      engines[static_cast<std::size_t>(s)].emplace_back(64, begin, end,
+      engines[static_cast<std::size_t>(s)].emplace_back(64, w.begin, w.end,
                                                        /*signed=*/true);
     }
   }
@@ -52,7 +46,7 @@ int main() {
   // plaintext i = Rng::nth(0x481, i)); analysis stays on this thread.
   std::vector<int> hyp(64);
   core::BatchConfig bc;
-  bc.stop_after_cycles = round1.end;
+  bc.stop_after_cycles = w.end;  // S-box 8 ends round 1
   core::BatchRunner runner(device, bc);
   runner.capture_each(
       kTraces, core::random_plaintexts(key, 0x481),

@@ -27,26 +27,25 @@ int main() {
   const std::uint64_t key = bench::kKey;
 
   const auto device = core::MaskingPipeline::des(compiler::Policy::kOriginal);
-  const bench::Window round1 = bench::round_window(device.program(), 1);
   // Window each attack to its own S-box iteration of round 1 (SPA gives
   // the attacker this alignment, Fig. 6) so a neighbouring S-box sharing
   // expansion bits cannot plant ghost correlations.
-  const auto sbox_starts =
-      bench::label_fetch_cycles(device.program(), "sbox_loop");
-
   std::vector<analysis::MlpaAttack> mlpa;
+  core::SboxWindow w;
   for (int s = 0; s < 8; ++s) {
+    w = core::des_round1_sbox_window(device.program(), s);
     analysis::MlpaConfig cfg;
     cfg.sbox = s;
-    cfg.window_begin = sbox_starts[static_cast<std::size_t>(s)];
-    cfg.window_end = (s < 7) ? sbox_starts[static_cast<std::size_t>(s + 1)]
-                             : round1.end;
+    cfg.window_begin = w.begin;
+    cfg.window_end = w.end;
     mlpa.emplace_back(cfg);
   }
+  const core::SboxWindow sbox1 =
+      core::des_round1_sbox_window(device.program(), 0);
   analysis::CollisionConfig ccfg;
   ccfg.sbox = 0;
-  ccfg.window_begin = sbox_starts[0];
-  ccfg.window_end = sbox_starts[1];
+  ccfg.window_begin = sbox1.begin;
+  ccfg.window_end = sbox1.end;
   analysis::CollisionAttack collision(ccfg);
 
   // Disclosure curves for the S-box 1 chunk under both adversaries,
@@ -58,7 +57,7 @@ int main() {
   std::size_t next_checkpoint = 0;
 
   core::BatchConfig bc;
-  bc.stop_after_cycles = round1.end;
+  bc.stop_after_cycles = w.end;  // S-box 8 ends round 1
   core::BatchRunner runner(device, bc);
   runner.capture_each(
       kTraces, core::random_plaintexts(key, 0x481),

@@ -26,27 +26,27 @@ struct Outcome {
   std::size_t tvla_over;
 };
 
-Outcome assess(bool isolation, const bench::Window& round1) {
+Outcome assess(bool isolation, const std::vector<std::uint64_t>& round1) {
   auto masked = core::MaskingPipeline::des(compiler::Policy::kSelective);
   sim::SimConfig config;
   config.operand_isolation = isolation;
   masked.set_sim_config(config);
 
   const auto d =
-      masked.run_des(bench::kKey, bench::kPlain, round1.end)
+      masked.run_des(bench::kKey, bench::kPlain, round1[1])
           .trace.difference(
-              masked.run_des(bench::kKeyBitFlipped, bench::kPlain, round1.end)
+              masked.run_des(bench::kKeyBitFlipped, bench::kPlain, round1[1])
                   .trace);
-  analysis::TvlaAssessment tvla(round1.begin, round1.end);
+  analysis::TvlaAssessment tvla(round1[0], round1[1]);
   util::Rng rng(0x150);
   for (int i = 0; i < 20; ++i) {
     tvla.add_fixed(
-        masked.run_des(bench::kKey, bench::kPlain, round1.end).trace);
+        masked.run_des(bench::kKey, bench::kPlain, round1[1]).trace);
     tvla.add_random(
-        masked.run_des(bench::kKey, rng.next_u64(), round1.end).trace);
+        masked.run_des(bench::kKey, rng.next_u64(), round1[1]).trace);
   }
   const analysis::TvlaResult t = tvla.solve();
-  return Outcome{d.slice(round1.begin, round1.end).max_abs(), t.max_abs_t,
+  return Outcome{d.slice(round1[0], round1[1]).max_abs(), t.max_abs_t,
                  t.cycles_over_threshold};
 }
 
@@ -57,7 +57,9 @@ int main() {
                       "Operand-isolation ablation: the stale-register "
                       "channel the compiler cannot see.");
   const auto layout = core::MaskingPipeline::des(compiler::Policy::kOriginal);
-  const bench::Window round1 = bench::round_window(layout.program(), 1);
+  // Round 1 = cycles [round1[0], round1[1]).
+  const auto round1 =
+      core::label_retire_cycles(layout.program(), {{"round_loop", 2}})[0];
 
   util::CsvWriter csv(bench::out_dir() + "/ext_operand_isolation.csv");
   csv.write_header({"operand_isolation", "masked_key_diff_pj", "tvla_max_t",

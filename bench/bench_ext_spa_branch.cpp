@@ -118,7 +118,7 @@ int main() {
   }
 
   // SPA: one trace, read the bits from the per-iteration spacing.
-  const auto starts = bench::label_fetch_cycles(v1.program(), "loop");
+  const auto starts = core::label_retire_cycles(v1.program(), {{"loop", 0}})[0];
   const auto run1 = v1.run({});
   std::vector<std::uint64_t> lengths;
   for (std::size_t i = 0; i + 1 < starts.size(); ++i) {

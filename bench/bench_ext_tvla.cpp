@@ -25,22 +25,24 @@ int main() {
 
   // Round-1 window (same instruction layout under every policy).
   const auto layout = core::MaskingPipeline::des(compiler::Policy::kOriginal);
-  const bench::Window round1 = bench::round_window(layout.program(), 1);
-  const std::size_t stop = round1.end;
+  // Round 1 = cycles [round1[0], round1[1]).
+  const auto round1 =
+      core::label_retire_cycles(layout.program(), {{"round_loop", 2}})[0];
+  const std::size_t stop = round1[1];
 
   bench::SeriesWriter csv("ext_tvla");
   csv.write_header({"policy", "round1_max_abs_t", "round1_cycles_over",
                     "prefix_max_abs_t", "prefix_cycles_over"});
 
-  std::printf("window: round 1 = cycles [%zu, %zu)\n\n", round1.begin,
-              round1.end);
+  std::printf("window: round 1 = cycles [%zu, %zu)\n\n", round1[0],
+              round1[1]);
   std::printf("%-16s | %10s %12s | %10s %12s\n", "policy", "r1 max|t|",
               "r1 cycles>4.5", "pre max|t|", "pre cycles>4.5");
   bool ok = true;
   for (int p = 0; p < 4; ++p) {
     const auto pipeline = core::MaskingPipeline::des(policies[p]);
-    analysis::TvlaAssessment tvla_round(round1.begin, round1.end);
-    analysis::TvlaAssessment tvla_prefix(0, round1.begin);
+    analysis::TvlaAssessment tvla_round(round1[0], round1[1]);
+    analysis::TvlaAssessment tvla_prefix(0, round1[0]);
     // The fixed-class trace is one deterministic simulation — capture it
     // once instead of re-running it per pair; the random class is a
     // BatchRunner batch (random plaintext i = Rng::nth(0x71A, i), the same

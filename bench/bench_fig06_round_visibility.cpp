@@ -26,7 +26,7 @@ int main() {
   const analysis::Trace fine = run.trace.windowed_average(50);
   const analysis::SpaResult spa = analysis::detect_rounds(fine, 100, 220);
   const auto starts =
-      bench::label_fetch_cycles(pipeline.program(), "round_loop");
+      core::label_retire_cycles(pipeline.program(), {{"round_loop", 2}})[0];
 
   std::printf("cycles per encryption : %llu\n",
               static_cast<unsigned long long>(run.sim.cycles));
@@ -35,7 +35,7 @@ int main() {
   std::printf("SPA period            : %zu cycles (true round length %llu)\n",
               spa.best_period * 50,
               static_cast<unsigned long long>(
-                  starts.size() > 1 ? starts[1] - starts[0] : 0));
+                  starts[1] - starts[0]));
   std::printf("SPA repetitions       : %d (paper: 16 rounds visible)\n",
               spa.repetitions);
   std::printf("SPA periodicity score : %.3f\n", spa.periodicity);

@@ -16,21 +16,23 @@ int main() {
   const auto r2 = pipeline.run_des(bench::kKeyBitFlipped, bench::kPlain);
   const analysis::Trace diff = r1.trace.difference(r2.trace);
 
-  const bench::Window round1 = bench::round_window(pipeline.program(), 1);
-  const analysis::Trace round1_diff = diff.slice(round1.begin, round1.end);
+  // Round 1 = cycles [round1[0], round1[1]).
+  const auto round1 =
+      core::label_retire_cycles(pipeline.program(), {{"round_loop", 2}})[0];
+  const analysis::Trace round1_diff = diff.slice(round1[0], round1[1]);
 
   bench::SeriesWriter csv("fig07_key_bit_diff_round1");
   csv.write_header({"cycle", "diff_pj"});
   for (std::size_t i = 0; i < round1_diff.size(); ++i) {
-    csv.write_row({static_cast<double>(round1.begin + i), round1_diff[i]});
+    csv.write_row({static_cast<double>(round1[0] + i), round1_diff[i]});
   }
 
   std::size_t nonzero = 0;
   for (std::size_t i = 0; i < round1_diff.size(); ++i) {
     if (round1_diff[i] != 0.0) ++nonzero;
   }
-  std::printf("round-1 window        : cycles [%zu, %zu)\n", round1.begin,
-              round1.end);
+  std::printf("round-1 window        : cycles [%zu, %zu)\n", round1[0],
+              round1[1]);
   std::printf("max |diff|            : %.2f pJ  (paper: clearly nonzero)\n",
               round1_diff.max_abs());
   std::printf("nonzero cycles        : %zu of %zu\n", nonzero,

@@ -20,8 +20,10 @@ int main() {
     csv.write_row({static_cast<double>(i), diff[i]});
   }
 
-  const bench::Window round1 = bench::round_window(pipeline.program(), 1);
-  const auto rounds = diff.slice(round1.begin, diff.size());
+  // Round 1 = cycles [round1[0], round1[1]).
+  const auto round1 =
+      core::label_retire_cycles(pipeline.program(), {{"round_loop", 2}})[0];
+  const auto rounds = diff.slice(round1[0], diff.size());
   std::printf("max |diff| overall    : %.2f pJ\n", diff.max_abs());
   std::printf("max |diff| in rounds  : %.2f pJ  (paper: nonzero everywhere)\n",
               rounds.max_abs());

@@ -26,10 +26,10 @@ int main() {
     csv.write_row({static_cast<double>(i), diff[i]});
   }
 
-  const auto rounds_begin = bench::round_window(pipeline.program(), 1).begin;
-  const auto pre =
-      bench::label_fetch_cycles(pipeline.program(), "pre_r");
-  const std::size_t rounds_end = pre.empty() ? diff.size() : pre.front();
+  const auto first = core::label_retire_cycles(
+      pipeline.program(), {{"round_loop", 1}, {"pre_r", 1}});
+  const std::size_t rounds_begin = first[0][0];
+  const std::size_t rounds_end = first[1][0];
   const auto ip_region = diff.slice(0, rounds_begin);
   const auto rounds = diff.slice(rounds_begin, rounds_end);
   const auto output = diff.slice(rounds_end, diff.size());

@@ -22,11 +22,10 @@ int main() {
 
   // PC-1 region: from the first fetch of pc1_loop to the first fetch of
   // round_loop.
-  const auto pc1 = bench::label_fetch_cycles(original.program(), "pc1_loop");
-  const auto rounds =
-      bench::label_fetch_cycles(original.program(), "round_loop");
-  const std::size_t begin = pc1.empty() ? 0 : pc1.front();
-  const std::size_t end = rounds.empty() ? overhead.size() : rounds.front();
+  const auto first = core::label_retire_cycles(
+      original.program(), {{"pc1_loop", 1}, {"round_loop", 1}});
+  const std::size_t begin = first[0][0];
+  const std::size_t end = first[1][0];
   const analysis::Trace region = overhead.slice(begin, end);
 
   bench::SeriesWriter csv("fig12_masking_overhead");

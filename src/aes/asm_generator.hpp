@@ -18,8 +18,6 @@
 namespace emask::aes {
 
 struct AesAsmOptions {
-  bool secret_key = true;          // emit `.secret key`
-  bool declassify_output = true;   // emit `.declassified cipher`
   /// Generate the inverse cipher.  Symbol convention is unchanged: `plain`
   /// is the input block (here: the ciphertext) and `cipher` the output
   /// (here: the recovered plaintext), so plaintext_poke/read_cipher work

@@ -1,6 +1,5 @@
 #include "campaign/runner.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -10,16 +9,12 @@
 
 #include "aes/aes128.hpp"
 #include "aes/asm_generator.hpp"
-#include "analysis/collision.hpp"
-#include "analysis/cpa.hpp"
-#include "analysis/disclosure.hpp"
 #include "analysis/dpa.hpp"
 #include "analysis/generic_cpa.hpp"
-#include "analysis/mlpa.hpp"
 #include "analysis/second_order.hpp"
 #include "analysis/trace_io.hpp"
 #include "analysis/tvla.hpp"
-#include "bitslice/providers.hpp"
+#include "campaign/attack.hpp"
 #include "core/batch_runner.hpp"
 #include "core/masking_pipeline.hpp"
 #include "core/phase_profile.hpp"
@@ -149,41 +144,6 @@ void write_guesses_csv(const std::string& dir, const Scores& scores,
   csv.flush();
 }
 
-/// Samples a streaming attack's per-guess scores at the deterministic
-/// DisclosureCurve schedule.  Both trace sources yield captures in index
-/// order regardless of thread count, so the mid-stream solves — and the
-/// resulting disclosure.csv — are byte-identical across --jobs values.
-class DisclosureRecorder {
- public:
-  explicit DisclosureRecorder(std::size_t total)
-      : checkpoints_(analysis::DisclosureCurve::schedule(total)) {}
-
-  /// Call once per captured trace; `solve` yields the current 64 scores
-  /// and only runs at checkpoint trace counts.
-  template <typename Solve>
-  void sample(std::size_t index, Solve&& solve) {
-    if (next_ == checkpoints_.size() || index + 1 != checkpoints_[next_]) {
-      return;
-    }
-    curve_.add_checkpoint(index + 1, solve());
-    ++next_;
-  }
-
-  void write(const std::string& dir) const {
-    if (!curve_.empty()) curve_.write_csv(dir + "/disclosure.csv");
-  }
-
- private:
-  std::vector<std::size_t> checkpoints_;
-  analysis::DisclosureCurve curve_;
-  std::size_t next_ = 0;
-};
-
-template <typename Scores>
-std::vector<double> as_scores(const Scores& scores) {
-  return std::vector<double>(scores.begin(), scores.end());
-}
-
 void fill_batch_stats(ScenarioResult& r, const core::BatchStats& stats) {
   r.encryptions += stats.encryptions;
   r.total_cycles += stats.total_cycles;
@@ -202,32 +162,6 @@ std::string hex64(std::uint64_t v) {
 /// The spec's analysis window; window_end = 0 means "to the end".
 core::SboxWindow spec_window(const Scenario& s) {
   return {s.window_begin, s.window_end == 0 ? SIZE_MAX : s.window_end};
-}
-
-bool shuffled(const Scenario& s) {
-  return s.policy.hiding == hiding::HidingPolicy::kShuffleNop;
-}
-
-/// Round-1 window of `sbox` in the compiled DES program.  Shuffled devices
-/// desynchronize the cycle axis, so a fixed-schedule window can silently
-/// truncate late-shifted traces: they get the widest window — begin from
-/// the zero-delay schedule, end from the all-max schedule — and fail
-/// loudly if the program lacks the labels rather than falling back to the
-/// spec window.
-core::SboxWindow program_window(const Scenario& s,
-                                const core::MaskingPipeline& device,
-                                int sbox) {
-  const core::SboxWindow w =
-      shuffled(s) ? core::des_round1_sbox_window_bounds(
-                        device.program(), sbox, hiding::kShuffleNopMaxDelay)
-                  : core::des_round1_sbox_window(device.program(), sbox);
-  if (shuffled(s) && !w.valid()) {
-    throw SpecError(s.id +
-                    ": cannot derive a shuffle-aware attack window (the "
-                    "program lacks the generator's round_loop/sbox_loop "
-                    "labels)");
-  }
-  return w;
 }
 
 /// Where a scenario's traces come from: a batch of single-block
@@ -249,11 +183,11 @@ class TraceSource {
   /// Traces one capture yields: the batch size (per class for TVLA) or
   /// the session length.
   [[nodiscard]] virtual std::size_t count() const = 0;
-  /// The window an attack on `sbox` reads.  `from_program` asks for the
-  /// S-box's round-1 window in the compiled program (sessions always use
-  /// it); either way the spec window is the fallback.
+  /// The window a table attack on `sbox` reads: the S-box's round-1
+  /// window in the compiled program when `sbox_window` (sessions always
+  /// use it), otherwise the spec window.
   [[nodiscard]] virtual core::SboxWindow window(int sbox,
-                                                bool from_program) = 0;
+                                                bool sbox_window) = 0;
   /// TVLA's fixed class: count() runs of the scenario's fixed input, with
   /// the batch stats added to `r`.
   virtual void capture_fixed(
@@ -312,23 +246,28 @@ class BlockSource final : public TraceSource {
     bc_.threads = jobs;
     bc_.noise_sigma_pj = s.noise_sigma_pj;
     bc_.noise_seed = s.seed ^ 0x5EED50FAull;
-    if (shuffled(s) && s.analysis != Analysis::kEnergy &&
-        bc_.stop_after_cycles != 0) {
-      // The shuffled program runs longer than the classic one; the capture
-      // must cover the widest schedule or TraceWindow::admit will throw.
-      bc_.stop_after_cycles = std::max<std::uint64_t>(
-          bc_.stop_after_cycles, program_window(s, device_, 7).end);
-    }
   }
 
   const core::MaskingPipeline& device() const override { return device_; }
   std::size_t count() const override {
     return s_.analysis == Analysis::kTvla ? s_.traces / 2 : s_.traces;
   }
-  core::SboxWindow window(int sbox, bool from_program) override {
+  /// The capture stops at the spec's window_end, so an S-box window the
+  /// spec window does not cover would be attacked on cycles that were
+  /// never captured: that is a spec error, raised before any capture.
+  core::SboxWindow window(int sbox, bool sbox_window) override {
     const core::SboxWindow w =
-        from_program ? program_window(s_, device_, sbox) : core::SboxWindow{};
-    return w.valid() ? w : spec_window(s_);
+        core::des_round1_sbox_window(device_.program(), sbox);
+    const core::SboxWindow spec = spec_window(s_);
+    if (w.begin < spec.begin || w.end > spec.end) {
+      throw SpecError(s_.id + ": the round-1 window of S-box " +
+                      std::to_string(sbox + 1) + ", cycles [" +
+                      std::to_string(w.begin) + ", " + std::to_string(w.end) +
+                      "), does not fit in window_begin = " +
+                      std::to_string(s_.window_begin) + ", window_end = " +
+                      std::to_string(s_.window_end));
+    }
+    return sbox_window ? w : spec;
   }
 
   void capture_fixed(
@@ -399,9 +338,10 @@ class SessionSource final : public TraceSource {
   /// the session then simulates only the chained first pass, truncated at
   /// the window's end.
   core::SboxWindow window(int sbox, bool) override {
-    const core::SboxWindow w = program_window(s_, device(), sbox);
-    engine_.set_stop_after_cycles(w.valid() ? w.end : s_.window_end);
-    return w.valid() ? w : spec_window(s_);
+    const core::SboxWindow w =
+        core::des_round1_sbox_window(device().program(), sbox);
+    engine_.set_stop_after_cycles(w.end);
+    return w;
   }
 
   void write_artifacts(const std::string& dir) const override {
@@ -473,94 +413,28 @@ class SessionSource final : public TraceSource {
   session::SessionResult session_;
 };
 
-/// The four key-ranking attacks as table rows: configuration, bitsliced
-/// hypothesis provider, per-guess score vector, headline metric and the
-/// guesses.csv column.  `kProgramWindow` attacks read only their S-box's
-/// round-1 window; DPA and CPA keep the spec window on single-block
-/// devices.
-template <typename Attack>
-struct AttackRow;
-
-template <>
-struct AttackRow<analysis::DpaAttack> {
-  using Config = analysis::DpaConfig;
-  static constexpr bool kProgramWindow = false;
-  static constexpr auto kScores = &analysis::DpaResult::peak_per_guess;
-  static constexpr auto kMetric = &analysis::DpaResult::best_peak;
-  static constexpr const char* kColumn = "dom_peak_pj";
-  static auto provider(const Config& cfg, const analysis::DpaAttack&) {
-    return std::make_shared<bitslice::DpaProvider>(cfg.sbox, cfg.bit);
-  }
-};
-
-template <>
-struct AttackRow<analysis::CpaAttack> {
-  using Config = analysis::CpaConfig;
-  static constexpr bool kProgramWindow = false;
-  static constexpr auto kScores = &analysis::CpaResult::corr_per_guess;
-  static constexpr auto kMetric = &analysis::CpaResult::best_corr;
-  static constexpr const char* kColumn = "abs_rho";
-  static auto provider(const Config& cfg, const analysis::CpaAttack&) {
-    return std::make_shared<bitslice::CpaProvider>(cfg.sbox);
-  }
-};
-
-template <>
-struct AttackRow<analysis::MlpaAttack> {
-  using Config = analysis::MlpaConfig;
-  static constexpr bool kProgramWindow = true;
-  static constexpr auto kScores = &analysis::MlpaResult::score_per_guess;
-  static constexpr auto kMetric = &analysis::MlpaResult::best_score;
-  static constexpr const char* kColumn = "mlpa_score";
-  static auto provider(const Config& cfg, const analysis::MlpaAttack& mlpa) {
-    std::vector<int> in_masks;
-    for (const analysis::LinearApprox& ap : mlpa.approximations()) {
-      in_masks.push_back(ap.in_mask);
-    }
-    return std::make_shared<bitslice::MlpaProvider>(cfg.sbox,
-                                                    std::move(in_masks));
-  }
-};
-
-template <>
-struct AttackRow<analysis::CollisionAttack> {
-  using Config = analysis::CollisionConfig;
-  static constexpr bool kProgramWindow = true;
-  static constexpr auto kScores = &analysis::CollisionResult::score_per_guess;
-  static constexpr auto kMetric = &analysis::CollisionResult::best_score;
-  static constexpr const char* kColumn = "collision_score";
-  static auto provider(const Config& cfg, const analysis::CollisionAttack&) {
-    return std::make_shared<bitslice::CollisionProvider>(cfg.sbox);
-  }
-};
-
-/// Streams every trace of `source` into one key-ranking attack, sampling
-/// the disclosure curve; writes guesses.csv and disclosure.csv.
-template <typename Attack>
+/// Streams every trace of `source` into the scenario's table attack on
+/// S-box 1 (DPA: output bit 0); writes guesses.csv and disclosure.csv.
 void run_attack(TraceSource& source, const Scenario& s,
                 const std::string& dir, ScenarioResult& r) {
-  using Row = AttackRow<Attack>;
-  typename Row::Config cfg;
-  const core::SboxWindow w = source.window(cfg.sbox, Row::kProgramWindow);
-  cfg.window_begin = w.begin;
-  cfg.window_end = w.end;
-  Attack attack(cfg);
-  attack.set_provider(Row::provider(cfg, attack));
-  DisclosureRecorder disclosure(source.count());
-  source.capture(r, [&](std::size_t index, std::uint64_t input,
-                        core::EncryptionRun& run) {
-    attack.add_trace(input, run.trace);
-    disclosure.sample(index,
-                      [&] { return as_scores(attack.solve().*Row::kScores); });
-  });
-  const auto result = attack.solve();
-  r.metric = result.*Row::kMetric;
-  r.best_guess = result.best_guess;
-  r.true_value = analysis::DpaAttack::true_subkey_chunk(s.key, cfg.sbox);
+  constexpr int kSbox = 0;
+  const AttackOutcome out = run_table_attack(
+      s.analysis, kSbox, 0, source.window(kSbox, reads_sbox_window(s.analysis)),
+      {source.count(), [&](const TraceSink& add) {
+         source.capture(r, [&](std::size_t, std::uint64_t input,
+                               core::EncryptionRun& run) {
+           add(input, run.trace);
+         });
+       }});
+  r.metric = out.metric;
+  r.best_guess = out.best_guess;
+  r.true_value = analysis::DpaAttack::true_subkey_chunk(s.key, kSbox);
   r.success = r.best_guess == r.true_value;
-  r.margin = result.margin();
-  write_guesses_csv(dir, result.*Row::kScores, Row::kColumn);
-  disclosure.write(dir);
+  r.margin = out.margin;
+  write_guesses_csv(dir, out.scores, out.score_name);
+  if (!out.disclosure.empty()) {
+    out.disclosure.write_csv(dir + "/disclosure.csv");
+  }
 }
 
 }  // namespace
@@ -602,11 +476,13 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
       break;
     }
     case Analysis::kDpa:
-      run_attack<analysis::DpaAttack>(*source, s, dir, r);
+    case Analysis::kMlpa:
+    case Analysis::kCollision:
+      run_attack(*source, s, dir, r);
       break;
     case Analysis::kCpa: {
       if (s.cipher != Cipher::kAes) {
-        run_attack<analysis::CpaAttack>(*source, s, dir, r);
+        run_attack(*source, s, dir, r);
         break;
       }
       // AES: classic first-round CPA on the Hamming weight of
@@ -683,12 +559,6 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
       write_guesses_csv(dir, result.peak_per_guess, "dom_peak_pj");
       break;
     }
-    case Analysis::kMlpa:
-      run_attack<analysis::MlpaAttack>(*source, s, dir, r);
-      break;
-    case Analysis::kCollision:
-      run_attack<analysis::CollisionAttack>(*source, s, dir, r);
-      break;
   }
 
   source->write_artifacts(dir);

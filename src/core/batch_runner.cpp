@@ -13,6 +13,13 @@
 #include "util/rng.hpp"
 
 namespace emask::core {
+namespace {
+
+// Reorder-window slots per worker: bounds the traces resident during
+// streaming capture.
+constexpr std::size_t kWindowPerThread = 4;
+
+}  // namespace
 
 void BatchStats::add(const EncryptionRun& run) {
   ++encryptions;
@@ -122,9 +129,7 @@ void BatchRunner::capture_each(
   // sliding reorder window; the calling thread re-serializes completions in
   // index order.  Slot i lives at slots[i % window]; the window invariant
   // (claimed < emitted + window) guarantees a claimed slot is free.
-  const std::size_t window =
-      std::max(threads * std::max<std::size_t>(config_.window_per_thread, 1),
-               threads);
+  const std::size_t window = threads * kWindowPerThread;
   struct Slot {
     bool ready = false;
     BatchInput input;

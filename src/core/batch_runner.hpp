@@ -78,9 +78,6 @@ struct BatchConfig {
   /// per *index* so noisy batches stay schedule-independent.
   double noise_sigma_pj = 0.0;
   std::uint64_t noise_seed = 0xC0FFEE;
-  /// Reorder-window slots per worker (bounds resident traces during
-  /// streaming capture).
-  std::size_t window_per_thread = 4;
   /// Shared-prefix snapshot/fork policy.
   SnapshotMode snapshot = SnapshotMode::kAuto;
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "des/asm_generator.hpp"
+#include "hiding/policy.hpp"
 
 namespace emask::core {
 
@@ -50,61 +52,64 @@ std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
   return phases;
 }
 
-namespace {
-
-// des_round1_sbox_window of `program` with `nop_schedule` (when non-null)
-// poked into the dry run's memory.
-SboxWindow sbox_window(const assembler::Program& program, int sbox,
-                       const sim::SymbolPoke* nop_schedule) {
-  SboxWindow w;
-  if (sbox < 0 || sbox > 7) return w;
-  const auto sbox_label = program.text_labels.find("sbox_loop");
-  const auto round_label = program.text_labels.find("round_loop");
-  if (sbox_label == program.text_labels.end() ||
-      round_label == program.text_labels.end()) {
-    return w;
+std::vector<std::vector<std::uint64_t>> label_retire_cycles(
+    const assembler::Program& program, const std::vector<LabelQuery>& queries,
+    const std::vector<sim::SymbolPoke>& pokes) {
+  std::vector<std::uint32_t> targets;
+  for (const LabelQuery& q : queries) {
+    const auto it = program.text_labels.find(q.label);
+    if (it == program.text_labels.end()) {
+      throw std::invalid_argument("program has no text label '" + q.label +
+                                  "'");
+    }
+    targets.push_back(it->second);
   }
-  std::vector<std::uint64_t> sboxes;
-  std::vector<std::uint64_t> rounds;
+  std::vector<std::vector<std::uint64_t>> cycles(queries.size());
+  const auto wants = [&](std::size_t i) {
+    return queries[i].count == 0 || cycles[i].size() < queries[i].count;
+  };
   sim::Pipeline p(program);
-  if (nop_schedule != nullptr) {
-    sim::poke_symbol(p.memory(), program, *nop_schedule);
+  for (const sim::SymbolPoke& poke : pokes) {
+    sim::poke_symbol(p.memory(), program, poke);
   }
+  std::size_t open = queries.size();  // queries still recording
   energy::CycleActivity a;
-  // Round 2's first retirement of round_loop bounds S-box 7's window; no
-  // need to simulate further.
-  while (p.step(a) && rounds.size() < 2) {
+  while (open > 0 && p.step(a)) {
     if (!a.retired) continue;
-    if (a.retire_pc == sbox_label->second) sboxes.push_back(p.cycles());
-    if (a.retire_pc == round_label->second) rounds.push_back(p.cycles());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      if (a.retire_pc != targets[i] || !wants(i)) continue;
+      cycles[i].push_back(p.cycles());
+      if (!wants(i)) --open;
+    }
   }
-  if (sboxes.size() < 8 || rounds.size() < 2) return w;
-  w.begin = static_cast<std::size_t>(sboxes[static_cast<std::size_t>(sbox)]);
-  w.end = sbox < 7
-              ? static_cast<std::size_t>(
-                    sboxes[static_cast<std::size_t>(sbox) + 1])
-              : static_cast<std::size_t>(rounds[1]);
-  return w;
+  return cycles;
 }
-
-}  // namespace
 
 SboxWindow des_round1_sbox_window(const assembler::Program& program,
                                   int sbox) {
-  return sbox_window(program, sbox, nullptr);
-}
-
-SboxWindow des_round1_sbox_window_bounds(const assembler::Program& program,
-                                         int sbox, std::uint32_t max_delay) {
-  const SboxWindow zero = des_round1_sbox_window(program, sbox);
-  if (!zero.valid() || max_delay == 0 || !des::has_nop_table(program)) {
-    return zero;
+  if (sbox < 0 || sbox > 7) {
+    throw std::invalid_argument("DES S-box " + std::to_string(sbox) +
+                                " out of range 0..7");
   }
-  const sim::SymbolPoke padded = des::nop_schedule_poke(
-      std::vector<std::uint32_t>(des::kShuffleSlotCount, max_delay));
-  const SboxWindow widest = sbox_window(program, sbox, &padded);
-  if (!widest.valid()) return SboxWindow{};
-  return SboxWindow{zero.begin, widest.end};
+  const auto s = static_cast<std::size_t>(sbox);
+  // Round 1 retires sbox_loop once per S-box; round 2's first retirement
+  // of round_loop bounds S-box 7's window.
+  const auto window = [&](const std::vector<sim::SymbolPoke>& pokes) {
+    const auto c = label_retire_cycles(
+        program, {{"sbox_loop", 8}, {"round_loop", 2}}, pokes);
+    if (c[0].size() < 8 || c[1].size() < 2) {
+      throw std::invalid_argument(
+          "program halts before DES round 2; no round-1 S-box window");
+    }
+    return SboxWindow{c[0][s], s < 7 ? c[0][s + 1] : c[1][1]};
+  };
+  SboxWindow w = window({});
+  if (des::has_nop_table(program)) {
+    w.end = window({des::nop_schedule_poke(std::vector<std::uint32_t>(
+                        des::kShuffleSlotCount, hiding::kShuffleNopMaxDelay))})
+                .end;
+  }
+  return w;
 }
 
 }  // namespace emask::core

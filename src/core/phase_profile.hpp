@@ -35,13 +35,35 @@ struct PhaseEnergy {
 [[nodiscard]] std::vector<PhaseEnergy> profile_phases(
     const MaskingPipeline& pipeline, const BatchInput& input = {});
 
+/// One text label a dry run watches, and how many of its retirements to
+/// record (0 = every one, which runs the program to halt).
+struct LabelQuery {
+  std::string label;
+  std::size_t count = 0;
+};
+
+/// Retire cycles of the queried text labels (one list per query, in query
+/// order) from a dry pipeline run of `program` — no energy model — with
+/// `pokes` applied.  Wrong-path fetches after taken branches do not count.
+/// The run stops as soon as every query has its count.  Throws
+/// std::invalid_argument naming a label the program lacks.
+[[nodiscard]] std::vector<std::vector<std::uint64_t>> label_retire_cycles(
+    const assembler::Program& program, const std::vector<LabelQuery>& queries,
+    const std::vector<sim::SymbolPoke>& pokes = {});
+
 /// Round-1 cycle window [begin, end) of one DES S-box (0..7), located via
 /// the retire cycles of the assembly generator's `sbox_loop` /
-/// `round_loop` labels with a dry pipeline run (no energy model).  The
-/// per-S-box attacks (MLPA, collision) window this tightly because
-/// adjacent S-boxes share expansion bits, so their cycles plant ghost
-/// correlations for wrong guesses.  Returns begin == end == 0 when the
-/// program lacks the labels (non-generator DES source).
+/// `round_loop` labels.  The per-S-box attacks (MLPA, collision) window
+/// this tightly because adjacent S-boxes share expansion bits, so their
+/// cycles plant ghost correlations for wrong guesses.
+///
+/// The program decides how wide the window is: when it has a `nop_tab`
+/// (shuffle_slots), `begin` comes from the zero-delay schedule (the
+/// earliest the S-box can start) and `end` from the schedule with every
+/// slot at hiding::kShuffleNopMaxDelay (the latest it can finish), so the
+/// window covers every schedule a shuffle_nop device can draw.  Throws
+/// std::invalid_argument for an S-box outside 0..7 or a program without
+/// the generator's labels.
 struct SboxWindow {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -51,15 +73,5 @@ struct SboxWindow {
 
 [[nodiscard]] SboxWindow des_round1_sbox_window(
     const assembler::Program& program, int sbox);
-
-/// Shuffle-aware variant: the widest round-1 window of S-box `sbox` over
-/// every nop_tab schedule a shuffle_slots program can draw.  `begin` comes
-/// from a zero-delay dry run (the earliest the S-box can start), `end` from
-/// a run with every slot poked to `max_delay` (the latest it can finish).
-/// For programs without a nop_tab this is exactly des_round1_sbox_window.
-/// Attacks on shuffled devices must window with these bounds — a
-/// fixed-schedule window silently truncates late-shifted traces.
-[[nodiscard]] SboxWindow des_round1_sbox_window_bounds(
-    const assembler::Program& program, int sbox, std::uint32_t max_delay);
 
 }  // namespace emask::core

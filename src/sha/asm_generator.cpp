@@ -16,8 +16,7 @@ void emit_rotl(std::ostringstream& os, const char* rd, const char* rsrc,
 
 }  // namespace
 
-std::string generate_sha1_asm(const std::array<std::uint32_t, 16>& block,
-                              const Sha1AsmOptions& options) {
+std::string generate_sha1_asm(const std::array<std::uint32_t, 16>& block) {
   std::ostringstream os;
   os << "# SHA-1 compression, one 512-bit block (generated)\n";
   os << ".data\n";
@@ -25,7 +24,7 @@ std::string generate_sha1_asm(const std::array<std::uint32_t, 16>& block,
   for (int i = 0; i < 16; ++i) {
     os << "  .word " << block[static_cast<std::size_t>(i)] << "\n";
   }
-  if (options.secret_message) os << ".secret msg\n";
+  os << ".secret msg\n";
   os << "w:      .space 320\n";
   os << "hinit:  .word 0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, "
         "0xC3D2E1F0\n";

@@ -1,10 +1,10 @@
 // Generates a SHA-1 compression-function program in the target assembly
 // language: the "other algorithms" workload for the masking framework.
 //
-// The program absorbs one 512-bit block into the FIPS initial state.  With
-// `secret_message` set, the block is annotated `.secret` — the prefix-key
-// MAC setting, where the absorbed block contains key material — and the
-// compiler's forward slice must cover the whole 80-round computation.
+// The program absorbs one 512-bit block into the FIPS initial state.  The
+// block is annotated `.secret` — the prefix-key MAC setting, where the
+// absorbed block contains key material — so the compiler's forward slice
+// must cover the whole 80-round computation.
 // Unlike DES (bit-per-word, table-driven), SHA-1 is a word-level kernel
 // with rotates and the Ch/Maj logic functions, exercising the secure
 // and/nor instructions that DES never needs.
@@ -19,13 +19,8 @@
 
 namespace emask::sha {
 
-struct Sha1AsmOptions {
-  bool secret_message = true;  // emit `.secret msg`
-};
-
 [[nodiscard]] std::string generate_sha1_asm(
-    const std::array<std::uint32_t, 16>& block,
-    const Sha1AsmOptions& options = {});
+    const std::array<std::uint32_t, 16>& block);
 
 /// The 16 message words as a poke of the `msg` symbol, so one assembly +
 /// compilation serves many runs.

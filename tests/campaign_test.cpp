@@ -278,7 +278,6 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
   const std::string spec_text =
       "[campaign]\n"
       "name = resume_test\n"
-      "window_end = 4000\n"
       "[axes]\n"
       "policy = original, selective, all_secure\n"
       "analysis = energy, cpa, tvla\n"
@@ -299,9 +298,8 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
   const CampaignReport full = CampaignRunner(spec, options_a).run();
   EXPECT_TRUE(full.complete);
   EXPECT_EQ(full.executed, 9u);
-  // all_secure CPA finds no variance to rank guesses by (nor does any CPA
-  // row under window_end = 4000): its margin is +inf, which the JSON
-  // checkpoint stores as null.
+  // all_secure CPA finds no variance to rank guesses by: its margin is
+  // +inf, which the JSON checkpoint stores as null.
   EXPECT_EQ(full.outcomes[7].scenario.analysis, Analysis::kCpa);
   EXPECT_EQ(full.outcomes[7].result.margin,
             std::numeric_limits<double>::infinity());
@@ -429,7 +427,6 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
   const CampaignSpec spec = CampaignSpec::parse(
       "[campaign]\n"
       "name = shard_test\n"
-      "window_end = 4000\n"
       "[axes]\n"
       "policy = original, selective, all_secure\n"
       "analysis = energy, cpa, tvla\n"
@@ -506,6 +503,34 @@ TEST(Runner, ShardedResumeIgnoresUnshardedCheckpoints) {
   EXPECT_EQ(report.resumed, 0u);
   EXPECT_EQ(report.executed, 1u);
   fs::remove_all(dir);
+}
+
+// A capture that stops before the attacked S-box's round-1 window would
+// hand the attack cycles that were never captured (CPA then ranked nothing
+// and DPA reported noise, with exit 0); each DES table attack refuses the
+// spec before capturing, naming the S-box window.
+TEST(Runner, AttackWindowCutOffByCaptureThrows) {
+  for (const char* analysis : {"dpa", "cpa", "mlpa", "collision"}) {
+    SCOPED_TRACE(analysis);
+    const CampaignSpec spec = CampaignSpec::parse(
+        std::string("[campaign]\nname = short_window\nwindow_end = 4000\n"
+                    "[axes]\npolicy = original\ntraces = 16\nanalysis = ") +
+        analysis + "\n");
+    RunnerOptions options;
+    options.out_dir = test::temp_path("emask_short_window").string();
+    options.quiet = true;
+    try {
+      (void)CampaignRunner(spec, options).run();
+      ADD_FAILURE() << "no SpecError";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "round-1 window of S-box 1, cycles ["),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(fs::exists(fs::path(options.out_dir) / "manifest.json"));
+    fs::remove_all(options.out_dir);
+  }
 }
 
 TEST(Runner, ShardOwningNoScenariosIsError) {

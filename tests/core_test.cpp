@@ -152,6 +152,38 @@ TEST(PhaseProfile, NonHaltingProgramHitsTheCycleBudget) {
   EXPECT_THROW((void)core::profile_phases(p), std::runtime_error);
 }
 
+// The dry-run locator records each queried label's first `count`
+// retirements (0 = all of them) and stops once it has them.
+TEST(PhaseProfile, LabelRetireCyclesStopAtTheQueriedCounts) {
+  const auto p = MaskingPipeline::des(compiler::Policy::kOriginal);
+  const auto rounds =
+      core::label_retire_cycles(p.program(), {{"round_loop", 0}})[0];
+  ASSERT_EQ(rounds.size(), 16u);
+  const auto round1 = core::label_retire_cycles(
+      p.program(), {{"round_loop", 2}, {"sbox_loop", 8}});
+  ASSERT_EQ(round1[0].size(), 2u);
+  ASSERT_EQ(round1[1].size(), 8u);
+  EXPECT_EQ(round1[0][1], rounds[1]);
+  const core::SboxWindow sbox8 = core::des_round1_sbox_window(p.program(), 7);
+  EXPECT_EQ(sbox8.begin, round1[1][7]);
+  EXPECT_EQ(sbox8.end, rounds[1]);
+}
+
+// No silent fallback window: a program without the generator's labels, or
+// an S-box outside 0..7, is an error.
+TEST(PhaseProfile, SboxWindowWithoutGeneratorLabelsThrows) {
+  const auto bare = MaskingPipeline::from_source("main:\n  halt\n",
+                                                 compiler::Policy::kOriginal);
+  EXPECT_THROW((void)core::des_round1_sbox_window(bare.program(), 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)core::label_retire_cycles(
+                   bare.program(), {{"main", 1}, {"round_loop", 1}}),
+               std::invalid_argument);
+  const auto des = MaskingPipeline::des(compiler::Policy::kOriginal);
+  EXPECT_THROW((void)core::des_round1_sbox_window(des.program(), 8),
+               std::invalid_argument);
+}
+
 TEST(MaskingPipeline, PolicyAccessorsConsistent) {
   const auto p = MaskingPipeline::des(compiler::Policy::kNaiveLoadStore);
   EXPECT_EQ(p.policy(), compiler::Policy::kNaiveLoadStore);

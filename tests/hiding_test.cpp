@@ -186,23 +186,28 @@ TEST(Hiding, ShuffleMisalignsTracesAcrossPlaintexts) {
 }
 
 // The shuffle-aware window starts where the zero-delay schedule starts and
-// ends late enough to cover the all-max-delay schedule.
+// ends where the all-max-delay schedule ends; the program, not the caller,
+// decides.
 TEST(Hiding, ShuffleAwareWindowBoundsWidenTheFixedWindow) {
   const MaskingPipeline sh = device("shuffle_nop");
-  const SboxWindow fixed = des_round1_sbox_window(sh.program(), 0);
-  const SboxWindow bounds = des_round1_sbox_window_bounds(
-      sh.program(), 0, hiding::kShuffleNopMaxDelay);
-  ASSERT_TRUE(fixed.valid());
-  ASSERT_TRUE(bounds.valid());
-  EXPECT_EQ(bounds.begin, fixed.begin);
-  EXPECT_GT(bounds.end, fixed.end);
-  // Programs without nop slots fall back to the fixed window exactly.
+  const auto sbox1_starts = [&](const std::vector<sim::SymbolPoke>& pokes) {
+    return label_retire_cycles(sh.program(), {{"sbox_loop", 2}}, pokes)[0];
+  };
+  const auto zero = sbox1_starts({});
+  const auto padded = sbox1_starts({des::nop_schedule_poke(
+      std::vector<std::uint32_t>(des::kShuffleSlotCount,
+                                 hiding::kShuffleNopMaxDelay))});
+  const SboxWindow bounds = des_round1_sbox_window(sh.program(), 0);
+  EXPECT_EQ(bounds.begin, zero[0]);
+  EXPECT_EQ(bounds.end, padded[1]);
+  EXPECT_GT(bounds.end, zero[1]);
+  // Programs without nop slots get the fixed window exactly.
   const MaskingPipeline plain = device("original");
-  const SboxWindow same = des_round1_sbox_window_bounds(
-      plain.program(), 0, hiding::kShuffleNopMaxDelay);
-  const SboxWindow zero = des_round1_sbox_window(plain.program(), 0);
-  EXPECT_EQ(same.begin, zero.begin);
-  EXPECT_EQ(same.end, zero.end);
+  const auto fixed =
+      label_retire_cycles(plain.program(), {{"sbox_loop", 2}})[0];
+  const SboxWindow same = des_round1_sbox_window(plain.program(), 0);
+  EXPECT_EQ(same.begin, fixed[0]);
+  EXPECT_EQ(same.end, fixed[1]);
 }
 
 // Regression for the silent-truncation bug class: a trace captured only up
@@ -210,11 +215,10 @@ TEST(Hiding, ShuffleAwareWindowBoundsWidenTheFixedWindow) {
 // the analysis layer must reject it loudly instead of narrowing the window.
 TEST(Hiding, TruncatedShuffledTraceFailsLoudly) {
   const MaskingPipeline sh = device("shuffle_nop");
-  const SboxWindow fixed = des_round1_sbox_window(sh.program(), 0);
-  const SboxWindow bounds = des_round1_sbox_window_bounds(
-      sh.program(), 0, hiding::kShuffleNopMaxDelay);
+  const auto fixed = label_retire_cycles(sh.program(), {{"sbox_loop", 2}})[0];
+  const SboxWindow bounds = des_round1_sbox_window(sh.program(), 0);
   ASSERT_TRUE(bounds.valid());
-  const EncryptionRun truncated = sh.run_des(kKey, kPlain, fixed.end);
+  const EncryptionRun truncated = sh.run_des(kKey, kPlain, fixed[1]);
   analysis::TraceWindow window(bounds.begin, bounds.end);
   EXPECT_THROW((void)window.admit(truncated.trace, "HidingTest"),
                std::invalid_argument);
@@ -248,7 +252,6 @@ TEST(HidingCampaign, JobsAndResumeAreByteIdentical) {
   const std::string spec_text =
       "[campaign]\n"
       "name = hiding_zoo\n"
-      "window_end = 4000\n"
       "[axes]\n"
       "policy = original, wddl, random_precharge, shuffle_nop\n"
       "analysis = energy, cpa\n"

@@ -8,12 +8,11 @@
 #include <cstdio>
 #include <string>
 
-#include "analysis/collision.hpp"
-#include "analysis/cpa.hpp"
 #include "analysis/dpa.hpp"
-#include "analysis/mlpa.hpp"
 #include "analysis/trace_io.hpp"
 #include "analysis/tvla.hpp"
+#include "campaign/attack.hpp"
+#include "core/batch_runner.hpp"
 #include "core/leakage_map.hpp"
 #include "core/masking_pipeline.hpp"
 #include "core/phase_profile.hpp"
@@ -23,7 +22,9 @@
 using namespace emask;
 
 namespace {
-constexpr std::size_t kRound1End = 13000;
+// Round 1 of the classic program: where DPA, CPA and TVLA look, and where
+// a live round-wide capture stops.
+constexpr core::SboxWindow kRound1{3000, 13000};
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,14 +72,11 @@ int main(int argc, char** argv) {
 
   try {
     const hiding::Countermeasure policy = tools::to_countermeasure(policy_name);
-    const energy::TechParams params = tools::tech_params(coupling_ff);
-    const auto device = core::MaskingPipeline::des(policy, params);
-    analysis::NoiseModel noise(noise_pj, 0xC0FFEE);
-    util::Rng rng(0xA77AC4);
+    const auto device =
+        core::MaskingPipeline::des(policy, tools::tech_params(coupling_ff));
 
     // Offline mode: replay a captured trace set instead of the live card.
     analysis::TraceSet offline;
-    std::size_t offline_next = 0;
     if (!from_path.empty()) {
       offline = analysis::load_trace_set(from_path);
       traces = static_cast<int>(offline.size());
@@ -92,93 +90,6 @@ int main(int argc, char** argv) {
       std::printf("capturing %d round-1 traces...\n", traces);
     }
 
-    const auto next_input = [&]() -> std::uint64_t {
-      if (!from_path.empty()) return offline.inputs[offline_next];
-      return rng.next_u64();
-    };
-    const auto capture = [&](std::uint64_t pt) {
-      if (!from_path.empty()) return offline.traces[offline_next++];
-      analysis::Trace t = device.run_des(key, pt, kRound1End).trace;
-      return noise_pj > 0.0 ? noise.apply(t) : t;
-    };
-    const int truth = analysis::DpaAttack::true_subkey_chunk(key, sbox);
-
-    if (attack == "dpa") {
-      analysis::DpaConfig cfg;
-      cfg.sbox = sbox;
-      cfg.bit = bit;
-      cfg.window_begin = 3000;
-      cfg.window_end = kRound1End;
-      analysis::DpaAttack dpa(cfg);
-      for (int i = 0; i < traces; ++i) {
-        const std::uint64_t pt = next_input();
-        dpa.add_trace(pt, capture(pt));
-      }
-      const analysis::DpaResult r = dpa.solve();
-      std::printf("DoM peak %.4f pJ for guess %d (margin %.2fx); true "
-                  "chunk %d -> %s\n",
-                  r.best_peak, r.best_guess, r.margin(), truth,
-                  r.best_guess == truth ? "RECOVERED" : "not recovered");
-      return r.best_guess == truth ? 0 : 3;
-    }
-    if (attack == "cpa") {
-      analysis::CpaConfig cfg;
-      cfg.sbox = sbox;
-      cfg.window_begin = 3000;
-      cfg.window_end = kRound1End;
-      analysis::CpaAttack cpa(cfg);
-      for (int i = 0; i < traces; ++i) {
-        const std::uint64_t pt = next_input();
-        cpa.add_trace(pt, capture(pt));
-      }
-      const analysis::CpaResult r = cpa.solve();
-      std::printf("|rho| %.4f for guess %d (margin %.2fx); true chunk %d "
-                  "-> %s\n",
-                  r.best_corr, r.best_guess, r.margin(), truth,
-                  r.best_guess == truth ? "RECOVERED" : "not recovered");
-      return r.best_guess == truth ? 0 : 3;
-    }
-    if (attack == "mlpa" || attack == "collision") {
-      // Per-S-box windows: adjacent S-boxes share expansion bits, so a
-      // round-wide window plants ghost correlations for wrong guesses.
-      const core::SboxWindow w =
-          core::des_round1_sbox_window(device.program(), sbox);
-      const std::size_t wb = w.valid() ? w.begin : 3000;
-      const std::size_t we = w.valid() ? w.end : kRound1End;
-      if (attack == "mlpa") {
-        analysis::MlpaConfig cfg;
-        cfg.sbox = sbox;
-        cfg.window_begin = wb;
-        cfg.window_end = we;
-        analysis::MlpaAttack mlpa(cfg);
-        for (int i = 0; i < traces; ++i) {
-          const std::uint64_t pt = next_input();
-          mlpa.add_trace(pt, capture(pt));
-        }
-        const analysis::MlpaResult r = mlpa.solve();
-        std::printf("MLPA score %.4f for guess %d over %zu approximations "
-                    "(margin %.2fx); true chunk %d -> %s\n",
-                    r.best_score, r.best_guess, mlpa.approximations().size(),
-                    r.margin(), truth,
-                    r.best_guess == truth ? "RECOVERED" : "not recovered");
-        return r.best_guess == truth ? 0 : 3;
-      }
-      analysis::CollisionConfig cfg;
-      cfg.sbox = sbox;
-      cfg.window_begin = wb;
-      cfg.window_end = we;
-      analysis::CollisionAttack collision(cfg);
-      for (int i = 0; i < traces; ++i) {
-        const std::uint64_t pt = next_input();
-        collision.add_trace(pt, capture(pt));
-      }
-      const analysis::CollisionResult r = collision.solve();
-      std::printf("collision score %.4f for guess %d (%zu/64 input classes "
-                  "seen); true chunk %d -> %s\n",
-                  r.best_score, r.best_guess, r.classes_seen, truth,
-                  r.best_guess == truth ? "RECOVERED" : "not recovered");
-      return r.best_guess == truth ? 0 : 3;
-    }
     if (attack == "localize") {
       const core::LeakageMap map = core::localize_des_leakage(
           device, key, 0x0123456789ABCDEFull, std::max(2, traces / 2));
@@ -196,18 +107,66 @@ int main(int argc, char** argv) {
       }
       return map.leaks() ? 3 : 0;
     }
-    // attack == "tvla" (opt_choice already rejected anything else).
-    analysis::TvlaAssessment tvla(3000, kRound1End);
-    for (int i = 0; i < traces / 2; ++i) {
-      tvla.add_fixed(capture(0x0123456789ABCDEFull));
-      tvla.add_random(capture(rng.next_u64()));
+    if (attack == "tvla") {
+      // Fixed-vs-random classes, interleaved on one noise stream.
+      analysis::NoiseModel noise(noise_pj, 0xC0FFEE);
+      util::Rng rng(0xA77AC4);
+      std::size_t next = 0;
+      const auto capture = [&](std::uint64_t pt) {
+        if (!from_path.empty()) return offline.traces[next++];
+        analysis::Trace t = device.run_des(key, pt, kRound1.end).trace;
+        return noise_pj > 0.0 ? noise.apply(t) : t;
+      };
+      analysis::TvlaAssessment tvla(kRound1.begin, kRound1.end);
+      for (int i = 0; i < traces / 2; ++i) {
+        tvla.add_fixed(capture(0x0123456789ABCDEFull));
+        tvla.add_random(capture(rng.next_u64()));
+      }
+      const analysis::TvlaResult r = tvla.solve();
+      std::printf("TVLA: max |t| = %.2f at cycle %zu; %zu cycles over the "
+                  "4.5 threshold -> %s\n",
+                  r.max_abs_t, r.worst_cycle, r.cycles_over_threshold,
+                  r.leaks() ? "LEAKS" : "passes");
+      return r.leaks() ? 3 : 0;
     }
-    const analysis::TvlaResult r = tvla.solve();
-    std::printf("TVLA: max |t| = %.2f at cycle %zu; %zu cycles over the "
-                "4.5 threshold -> %s\n",
-                r.max_abs_t, r.worst_cycle, r.cycles_over_threshold,
-                r.leaks() ? "LEAKS" : "passes");
-    return r.leaks() ? 3 : 0;
+
+    // Key-ranking attacks.  A live capture is the one emask-capture saves:
+    // plaintext i is Rng::nth(0xA77AC4, i) and its noise is seeded by the
+    // index, so attacking the card and replaying its capture agree.
+    const campaign::Analysis table = campaign::analysis_from_name(attack);
+    const core::SboxWindow window =
+        campaign::reads_sbox_window(table)
+            ? core::des_round1_sbox_window(device.program(), sbox)
+            : kRound1;
+    const auto count = static_cast<std::size_t>(traces);
+    const campaign::AttackOutcome r = campaign::run_table_attack(
+        table, sbox, bit, window, {count, [&](const campaign::TraceSink& add) {
+          if (!from_path.empty()) {  // replay through the same sink
+            for (std::size_t i = 0; i < count; ++i) {
+              add(offline.inputs[i], offline.traces[i]);
+            }
+            return;
+          }
+          core::BatchConfig bc;
+          bc.stop_after_cycles = window.end;
+          bc.noise_sigma_pj = noise_pj;
+          bc.noise_seed = 0xC0FFEE;
+          core::BatchRunner(device, bc).capture_each(
+              count, core::random_plaintexts(key, 0xA77AC4),
+              [&](std::size_t, const core::BatchInput& input,
+                  core::EncryptionRun& run) {
+                add(input.plaintext, run.trace);
+              });
+        }});
+    const int truth = analysis::DpaAttack::true_subkey_chunk(key, sbox);
+    const std::size_t disclosed = r.disclosure.traces_to_disclosure(truth);
+    std::printf("%s: %s %.4f for guess %d (margin %.2fx); true chunk %d -> "
+                "%s; %s %zu traces\n",
+                attack.c_str(), r.score_name, r.metric, r.best_guess, r.margin,
+                truth, r.best_guess == truth ? "RECOVERED" : "not recovered",
+                disclosed > 0 ? "disclosed after" : "not disclosed within",
+                disclosed > 0 ? disclosed : count);
+    return r.best_guess == truth ? 0 : 3;
   } catch (const util::ArgError& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), parser.usage().c_str());
     return 1;

@@ -51,19 +51,9 @@ int main(int argc, char** argv) {
     bc.stop_after_cycles = window_end;
     bc.noise_sigma_pj = noise_pj;
     bc.noise_seed = 0xC0FFEE;
-    core::BatchRunner runner(device, bc);
-    analysis::TraceSetWriter writer(out_path, traces);
-    runner.capture_each(
-        traces, core::random_plaintexts(key, 0xA77AC4),
-        [&](std::size_t i, const core::BatchInput& input,
-            core::EncryptionRun& run) {
-          writer.append(input.plaintext, run.trace);
-          if ((i + 1) % 100 == 0) {
-            std::printf("  %zu/%zu traces\n", i + 1, traces);
-          }
-        });
-    writer.close();
-    const core::BatchStats& stats = runner.stats();
+    const core::BatchStats stats =
+        core::BatchRunner(device, bc).capture_to_file(
+            out_path, traces, core::random_plaintexts(key, 0xA77AC4));
     std::printf(
         "wrote %llu traces x %llu cycles to %s\n"
         "  %zu threads, %.2f s wall, %.1f enc/s, %.0f kcycle/s, %.3f uJ "
